@@ -354,9 +354,7 @@ def geometric_laue_residuals(
     def dual_of(V: VectorField):
         def func(points):
             points = np.asarray(points, float)
-            gv = g(points)
-            ginv = np.linalg.inv(gv)
-            eps = np.sqrt(np.abs(np.linalg.det(gv)))
+            gv, ginv, eps = g.metric_dual(points)
             v_low = np.einsum("...ab,...b->...a", gv, V(points))
             return hodge_comps(v_low, n, 1, ginv, eps)
 
@@ -425,9 +423,7 @@ def exact_current_factory(lam: FormField, g: MetricField, h: float = DEFAULT_H):
 
     def j_func(points):
         points = np.asarray(points, float)
-        gv = g(points)
-        ginv = np.linalg.inv(gv)
-        eps = np.sqrt(np.abs(np.linalg.det(gv)))
+        _, ginv, eps = g.metric_dual(points)
         j_low = sign * hodge_comps(calJ(points), n, n - 1, ginv, eps)
         return np.einsum("...ab,...b->...a", ginv, j_low)
 
@@ -529,8 +525,9 @@ def conservation_check(
 
 
 def vector_divergence(J: VectorField, g: MetricField, h: float = DEFAULT_H) -> ScalarField:
-    """Covariant divergence of a vector field (flat fast path is plain d_a J^a;
-    curved charts use the volume-weighted form d_a(sqrt|g| J^a)/sqrt|g|)."""
+    """Covariant divergence of a vector field in the volume-weighted form
+    d_a(sqrt|g| J^a)/sqrt|g| (plain d_a J^a on a flat metric, where the
+    volume factor is exactly 1)."""
     n = g.n
 
     def func(points):
@@ -541,16 +538,10 @@ def vector_divergence(J: VectorField, g: MetricField, h: float = DEFAULT_H) -> S
             plus[..., d] += h
             minus = points.copy()
             minus[..., d] -= h
-            if g.flat:
-                total += (J(plus)[..., d] - J(minus)[..., d]) / (2 * h)
-            else:
-                total += (
-                    g.eps_top(plus) * J(plus)[..., d]
-                    - g.eps_top(minus) * J(minus)[..., d]
-                ) / (2 * h)
-        if not g.flat:
-            total = total / g.eps_top(points)
-        return total
+            total += (
+                g.eps_top(plus) * J(plus)[..., d] - g.eps_top(minus) * J(minus)[..., d]
+            ) / (2 * h)
+        return total / g.eps_top(points)
 
     return ScalarField(func)
 

@@ -46,8 +46,8 @@ __all__ = [
     "insert",
     "volume_form",
     "render",
+    "minor_det",
     "raise_comps",
-    "lower_comps",
     "hodge_comps",
     "insert_comps",
     "inner_norm_comps",
@@ -370,24 +370,32 @@ def render(a: PForm, symbol: str = "θ") -> str:
 # ---------------------------------------------------------------------------
 
 
+def minor_det(m: np.ndarray, rows, cols) -> np.ndarray:
+    """det(m[..., rows, cols]) by first-row Laplace expansion on the strided
+    entries ``m[..., r, c]``: no minor is copied and no LAPACK call is made."""
+    if len(rows) == 1:
+        return m[..., rows[0], cols[0]]
+    out = 0.0
+    for k, c in enumerate(cols):
+        term = m[..., rows[0], c] * minor_det(m, rows[1:], cols[:k] + cols[k + 1 :])
+        out = out + term if k % 2 == 0 else out - term
+    return out
+
+
 def raise_comps(comps: np.ndarray, n: int, p: int, ginv: np.ndarray) -> np.ndarray:
     """Raise all p indices: out_A = det(ginv[A, J]) comps_J summed over J."""
     comps = np.asarray(comps, dtype=float)
     ginv = np.asarray(ginv, dtype=float)
     if p == 0:
         return comps.copy()
+    if p == 1:
+        return np.einsum("...ab,...b->...a", ginv, comps)
     idxs = multi_indices(n, p)
     out = np.zeros_like(comps)
     for i, A in enumerate(idxs):
         for j, J in enumerate(idxs):
-            minor = ginv[..., A, :][..., :, J]
-            out[..., i] += np.linalg.det(minor) * comps[..., j]
+            out[..., i] += minor_det(ginv, A, J) * comps[..., j]
     return out
-
-
-def lower_comps(comps: np.ndarray, n: int, p: int, g: np.ndarray) -> np.ndarray:
-    """Lower all p indices with the metric (same minor-determinant rule)."""
-    return raise_comps(comps, n, p, g)
 
 
 def inner_norm_comps(a, b, n: int, p: int, ginv: np.ndarray) -> np.ndarray:

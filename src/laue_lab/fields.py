@@ -19,6 +19,7 @@ from .exterior import (
     Signature,
     hodge_comps,
     insert_comps,
+    minor_det,
     multi_index_rank,
     multi_indices,
     wedge_comps,
@@ -135,11 +136,14 @@ class Cov2Field:
 
 @dataclass
 class MetricField:
-    """Pointwise nondegenerate symmetric (0,2) field with constant signature."""
+    """Pointwise nondegenerate symmetric (0,2) field with constant signature.
+
+    ``flat`` asserts the field is ``sig.matrix``; it is set when no ``func`` is.
+    """
 
     sig: Signature
     func: Optional[Callable] = None
-    flat: bool = True
+    flat: bool = False
 
     def __post_init__(self):
         if self.func is None:
@@ -163,12 +167,16 @@ class MetricField:
     def __call__(self, points):
         return np.asarray(self.func(np.asarray(points, float)), float)
 
-    def inverse(self, points):
-        return np.linalg.inv(self(points))
-
     def eps_top(self, points):
-        """Volume-form component sqrt|det g| in the working chart."""
-        return np.sqrt(np.abs(np.linalg.det(self(points))))
+        """Volume-form component sqrt|det g| in the working chart (1 when flat)."""
+        return 1.0 if self.flat else np.sqrt(np.abs(np.linalg.det(self(points))))
+
+    def metric_dual(self, points):
+        """(g, g^-1, sqrt|det g|) at the points; flat returns the constants."""
+        if self.flat:
+            return self.sig.matrix, self.sig.matrix, 1.0
+        gv = self(points)
+        return gv, np.linalg.inv(gv), np.sqrt(np.abs(np.linalg.det(gv)))
 
 
 def _shift(points, direction, h):
@@ -249,7 +257,7 @@ def christoffels(g: MetricField, h: float = DEFAULT_H):
             ],
             axis=-3,
         )  # (..., d, a, b) = partial_d g_ab
-        ginv = g.inverse(points)
+        ginv = np.linalg.inv(g(points))
         # Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_db - d_d g_bc)
         term = (
             np.einsum("...bdc->...dbc", dg)
@@ -449,9 +457,7 @@ def active_transform(g_elt: PoincareElement, field):
             return FormField(n, 0, lambda pts: field(ginv.apply(pts)))
         Ainv = ginv.A
         idxs = multi_indices(n, p)
-        D = np.array(
-            [[np.linalg.det(Ainv[np.ix_(J, I)]) for I in idxs] for J in idxs]
-        )
+        D = np.array([[minor_det(Ainv, J, I) for I in idxs] for J in idxs])
 
         def funcf(points):
             return field(ginv.apply(points)) @ D
@@ -512,9 +518,7 @@ def emt_to_form(T: SymTensorField, g: MetricField) -> CoFormField:
 
     def func(points):
         points = np.asarray(points, float)
-        gv = g(points)
-        ginv = np.linalg.inv(gv)
-        eps = np.sqrt(np.abs(np.linalg.det(gv)))
+        gv, ginv, eps = g.metric_dual(points)
         T_low = np.einsum("...ac,...cd,...bd->...ab", gv, T(points), gv)
         rows = [
             hodge_comps(T_low[..., a, :], n, 1, ginv, eps) for a in range(n)
@@ -547,9 +551,7 @@ def current_from_killing(T: SymTensorField, K: VectorField, g: MetricField):
 
     def form_func(points):
         points = np.asarray(points, float)
-        gv = g(points)
-        ginv = np.linalg.inv(gv)
-        eps = np.sqrt(np.abs(np.linalg.det(gv)))
+        gv, ginv, eps = g.metric_dual(points)
         j_low = np.einsum("...ab,...b->...a", gv, J(points))
         return hodge_comps(j_low, n, 1, ginv, eps)
 
@@ -574,8 +576,7 @@ def identity_residuals(
     points = np.asarray(samples, float)
     calT = emt_to_form(T, g)
     divT = divergence(T, g, h)
-    gv = g(points)
-    eps = np.sqrt(np.abs(np.linalg.det(gv)))
+    gv, _, eps = g.metric_dual(points)
     div_low = np.einsum("...ab,...b->...a", gv, divT(points))
 
     gamma = christoffels(g, h)(points) if not g.flat else None

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exterior import Signature, multi_indices
 
@@ -321,6 +320,8 @@ def fundamental_field(xi: PoinLieElement, origin: np.ndarray, sig: Signature):
 
 def poincare_exp(xi: PoinLieElement, sig: Signature) -> PoincareElement:
     """Group element exp(xi) via the (n+1)-dimensional homogeneous matrix."""
+    import scipy.linalg  # deferred: costs most of the package import time
+
     n = xi.n
     H = np.zeros((n + 1, n + 1))
     H[:n, :n] = bivector_to_matrix(xi.M, sig)

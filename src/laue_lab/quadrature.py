@@ -300,9 +300,7 @@ def flux_charge(J: VectorField, patch: HyperplanePatch, g: MetricField) -> float
 
     def omega(points):
         points = np.asarray(points, float)
-        gv = g(points)
-        ginv = np.linalg.inv(gv)
-        eps = np.sqrt(np.abs(np.linalg.det(gv)))
+        gv, ginv, eps = g.metric_dual(points)
         j_low = np.einsum("...ab,...b->...a", gv, J(points))
         return hodge_comps(j_low, n, 1, ginv, eps)
 

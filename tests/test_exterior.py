@@ -370,6 +370,34 @@ def test_raise_comps_diag_matches_factors():
     assert np.allclose(raised, a.comps * factors)
 
 
+def raise_comps_reference(comps, n, p, ginv):
+    """The defining sum out_A = det(ginv[A][:, J]) comps_J, one LAPACK det per minor."""
+    idxs = multi_indices(n, p)
+    out = np.zeros_like(comps)
+    for i, A in enumerate(idxs):
+        for j, J in enumerate(idxs):
+            minor = ginv[..., list(A), :][..., :, list(J)]
+            out[..., i] += np.linalg.det(minor) * comps[..., j]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_raise_comps_matches_determinant_definition(n):
+    rng = np.random.default_rng(100 + n)
+    m = 5
+    # Q diag(+-[0.5, 2]) Q^T: symmetric, indefinite, condition number <= 4
+    q, _ = np.linalg.qr(rng.standard_normal((m, n, n)))
+    eig = rng.uniform(0.5, 2.0, (m, n)) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    batched = np.einsum("...ik,...k,...jk->...ij", q, eig, q)
+    for ginv in (batched, batched[0]):
+        for p in range(n + 1):
+            comps = rng.standard_normal((m, math.comb(n, p)))
+            got = raise_comps(comps, n, p, ginv)
+            ref = raise_comps_reference(comps, n, p, ginv)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_batched_hodge_matches_single_on_curved_metric():
     # pointwise dual with a non-flat diagonal metric against the dense oracle
     rng = np.random.default_rng(3)

@@ -482,6 +482,15 @@ def test_christoffels_flat_are_zero(eta4):
     assert np.max(np.abs(G)) == 0.0
 
 
+def test_custom_metric_is_not_flat_by_default(sample_points4):
+    curved = curved_diag_metric()
+    g = MetricField(SIG, curved.func)
+    assert MetricField(SIG).flat and not g.flat
+    gamma = christoffels(g)(sample_points4)
+    assert np.any(gamma != 0.0)
+    assert np.array_equal(gamma, christoffels(curved)(sample_points4))
+
+
 def test_christoffels_curved_match_analytic():
     # g_11 = -f(x1)^2 gives Gamma^1_11 = f'/f, all else zero
     g = curved_diag_metric()

@@ -1,9 +1,17 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from laue_lab.exterior import PForm, Signature, insert, multi_indices, volume_form
+from laue_lab.exterior import (
+    PForm,
+    Signature,
+    hodge_comps,
+    insert,
+    multi_indices,
+    volume_form,
+)
 from laue_lab.fields import (
     FormField,
     MetricField,
@@ -203,6 +211,36 @@ def test_gaussian_charge_matches_oracle():
 
     q = flux_charge(VectorField(j), patch, ETA)
     assert q == pytest.approx(rho0 * math.pi**1.5 * sigma**3, rel=1e-6)
+
+
+def test_flat_metric_dual_matches_general_path():
+    # the flat shortcut against the per-point inv/det path fed the same eta
+    def eta_func(pts):
+        return np.broadcast_to(SIG.matrix, np.asarray(pts).shape[:-1] + (4, 4))
+
+    general = MetricField(SIG, eta_func)
+    assert ETA.flat and not general.flat
+    pts = RNG.standard_normal((7, 4))
+    _, ginv_flat, eps_flat = ETA.metric_dual(pts)
+    _, ginv_gen, eps_gen = general.metric_dual(pts)
+    for p in (1, 3):
+        comps = RNG.standard_normal((7, math.comb(4, p)))
+        np.testing.assert_allclose(
+            hodge_comps(comps, 4, p, ginv_flat, eps_flat),
+            hodge_comps(comps, 4, p, ginv_gen, eps_gen),
+            rtol=1e-15, atol=0.0,
+        )
+    J = VectorField(
+        lambda pts: np.exp(-np.sum(np.asarray(pts) ** 2, axis=-1))[..., None]
+        * np.arange(1.0, 5.0)
+    )
+    for patch in (
+        unit_cube_slice(N=8),
+        transform_patch(standard_boost(1, 0.5), unit_cube_slice(N=8)),
+    ):
+        assert flux_charge(J, patch, ETA) == pytest.approx(
+            flux_charge(J, patch, general), rel=1e-14
+        )
 
 
 def test_flux_code_paths_agree():
@@ -432,13 +470,18 @@ def test_custom_rule_patch_momentum():
 
 
 def test_determinism_across_thread_env(monkeypatch):
+    on_main = []
+
     def f(points):
+        on_main.append(threading.current_thread() is threading.main_thread())
         points = np.asarray(points)
         return np.cos(points[..., 1] * 3.0) + points[..., 2] ** 2
 
-    patch = HyperplanePatch.time_slice(SIG, half_widths=1.0, grid=(40,))
+    # 48^3 = 110,592 nodes are two 65,536-node tiles, so the pool runs
+    patch = HyperplanePatch.time_slice(SIG, half_widths=1.0, grid=(48,))
     monkeypatch.setenv("LAUE_LAB_THREADS", "1")
     v1 = integrate_scalar_density(f, patch)
     monkeypatch.setenv("LAUE_LAB_THREADS", "4")
     v4 = integrate_scalar_density(f, patch)
+    assert on_main == [True, True, False, False]  # two tiles, pooled under 4
     assert v1 == v4  # bitwise equal
