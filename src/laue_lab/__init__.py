@@ -45,6 +45,7 @@ from .quadrature import (
     integrate_form,
     laue_integrals,
     momentum_map,
+    patch_moments,
     transform_patch,
 )
 from .scenarios import build, coulomb_pair_energy, kinetic_stress_sums, tolman_weak_ep, trouton_noble_demo, virial_check

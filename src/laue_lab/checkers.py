@@ -33,14 +33,16 @@ from .quadrature import (
     LAUE_NAMES,
     HyperplanePatch,
     IntegralRecord,
+    _measure_factor,
     evaluate_tiled,
     flux_charge,
     four_momentum,
     integrate_form,
     integrate_scalar_density,
-    laue_integrals,
     momentum_map,
     pairwise_sum,
+    patch_moments,
+    stress_integrals,
     transform_patch,
 )
 from .scenarios import ScenarioSpec
@@ -203,8 +205,9 @@ def classical_laue_report(
             f"boost report requires a stationary system; time-derivative "
             f"residual {res:.3e} (flagged stationary={flagged_stationary})"
         )
-    P = four_momentum(T, patch)
-    stress = laue_integrals(T, patch)
+    M0, _ = patch_moments(T, patch)
+    P = M0 @ (patch.sig.matrix @ patch.normal)
+    stress = stress_integrals(M0, patch)
     S11, S12, S13 = stress["T11"], stress["T12"], stress["T13"]
     entries = []
     for beta in betas:
@@ -281,9 +284,7 @@ def gauss_residual(
     pts = patch.points(nodes)
     Tv = evaluate_tiled(T, pts)
     gphi = phi.gradient(pts, h)
-    factor = patch.orientation * patch.frame_phase() * (
-        1.0 if patch.normal_square() > 0 else -1.0
-    )
+    factor = _measure_factor(patch)
     lhs = np.array(
         [
             pairwise_sum(np.sum(Tv[:, mu, 1:] * gphi[:, 1:], axis=1) * weights) * factor

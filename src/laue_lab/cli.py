@@ -120,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--tol", type=float, default=None, help="tolerance override")
     common.add_argument("--grid-n", type=int, default=None, help="grid scale anchor N")
-    common.add_argument("--box-l", type=float, default=None, help="box half width")
     common.add_argument("--fd-h", type=float, default=None, help="fd step")
     common.add_argument(
         "--strict", action="store_true",
@@ -150,7 +149,7 @@ def load_config(path: str) -> dict:
     read = cp.read(path)
     if not read:
         raise ValueError(f"cannot read config file {path!r}")
-    known = {"seed", "format", "out", "tol", "grid_n", "box_l", "fd_h", "scenario", "beta"}
+    known = {"seed", "format", "out", "tol", "grid_n", "fd_h", "scenario", "beta"}
     out = {}
     for section in cp.sections():
         if section != "run" and not section.startswith("scenario."):
@@ -169,7 +168,6 @@ def _apply_config(args, cfg: dict):
         "out": str,
         "tol": float,
         "grid_n": int,
-        "box_l": float,
         "fd_h": float,
     }
     for key, conv in mapping.items():

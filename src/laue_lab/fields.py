@@ -61,7 +61,6 @@ class ScalarField:
     func: Callable
     grad: Optional[Callable] = None
     stationary: bool = False
-    support_radius: Optional[float] = None
 
     def __call__(self, points):
         return np.asarray(self.func(np.asarray(points, float)), float)
@@ -80,7 +79,6 @@ class ScalarField:
 class VectorField:
     func: Callable
     stationary: bool = False
-    support_radius: Optional[float] = None
 
     def __call__(self, points):
         return np.asarray(self.func(np.asarray(points, float)), float)
@@ -94,7 +92,6 @@ class FormField:
     p: int
     func: Callable
     stationary: bool = False
-    support_radius: Optional[float] = None
 
     def __call__(self, points):
         return np.asarray(self.func(np.asarray(points, float)), float)
@@ -117,7 +114,6 @@ class SymTensorField:
 
     func: Callable
     stationary: bool = False
-    support_radius: Optional[float] = None
     analytic_divergence: Optional[Callable] = None
 
     def __call__(self, points):
@@ -186,6 +182,16 @@ def _shift(points, direction, h):
     return out
 
 
+def _fd_stack(f, points, h: float, axis: int):
+    """Central differences (f(x + h e_d) - f(x - h e_d)) / 2h along every
+    chart axis d, stacked at ``axis``."""
+    n = points.shape[-1]
+    return np.stack(
+        [(f(_shift(points, d, h)) - f(_shift(points, d, -h))) / (2 * h) for d in range(n)],
+        axis=axis,
+    )
+
+
 def fd_partial(f, direction: int, h: float = DEFAULT_H):
     """Central-difference partial derivative along a chart axis.
 
@@ -230,10 +236,7 @@ def exterior_derivative(omega: FormField, h: float = DEFAULT_H) -> FormField:
 
     def func(points):
         points = np.asarray(points, float)
-        partials = [
-            (omega(_shift(points, d, h)) - omega(_shift(points, d, -h))) / (2 * h)
-            for d in range(n)
-        ]
+        partials = _fd_stack(omega, points, h, 0)
         out = np.zeros(points.shape[:-1] + (math.comb(n, p + 1),))
         for out_rank, axis, in_rank, sign in table:
             out[..., out_rank] += sign * partials[axis][..., in_rank]
@@ -250,13 +253,7 @@ def christoffels(g: MetricField, h: float = DEFAULT_H):
         points = np.asarray(points, float)
         if g.flat:
             return np.zeros(points.shape[:-1] + (n, n, n))
-        dg = np.stack(
-            [
-                (g(_shift(points, d, h)) - g(_shift(points, d, -h))) / (2 * h)
-                for d in range(n)
-            ],
-            axis=-3,
-        )  # (..., d, a, b) = partial_d g_ab
+        dg = _fd_stack(g, points, h, -3)  # (..., d, a, b) = partial_d g_ab
         ginv = np.linalg.inv(g(points))
         # Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_db - d_d g_bc)
         term = (
@@ -271,20 +268,13 @@ def christoffels(g: MetricField, h: float = DEFAULT_H):
 
 def divergence(T: SymTensorField, g: MetricField, h: float = DEFAULT_H) -> VectorField:
     """Covariant divergence (nabla . T)^a; flat charts reduce to d_b T^{ab}."""
-    n = g.n
     if T.analytic_divergence is not None:
         return VectorField(T.analytic_divergence, stationary=T.stationary)
     gamma = christoffels(g, h)
 
     def func(points):
         points = np.asarray(points, float)
-        dT = np.stack(
-            [
-                (T(_shift(points, d, h)) - T(_shift(points, d, -h))) / (2 * h)
-                for d in range(n)
-            ],
-            axis=-3,
-        )  # (..., d, a, b)
+        dT = _fd_stack(T, points, h, -3)  # (..., d, a, b)
         out = np.einsum("...bab->...a", dT)
         if not g.flat:
             G = gamma(points)
@@ -294,13 +284,6 @@ def divergence(T: SymTensorField, g: MetricField, h: float = DEFAULT_H) -> Vecto
         return out
 
     return VectorField(func, stationary=T.stationary)
-
-
-def _vector_jacobian(V: VectorField, points, n, h):
-    return np.stack(
-        [(V(_shift(points, d, h)) - V(_shift(points, d, -h))) / (2 * h) for d in range(n)],
-        axis=-1,
-    )  # (..., a, d) = d_d V^a
 
 
 def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
@@ -315,14 +298,7 @@ def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
         if p == 0:
             def func0(points):
                 points = np.asarray(points, float)
-                grads = np.stack(
-                    [
-                        (field(_shift(points, d, h)) - field(_shift(points, d, -h)))
-                        / (2 * h)
-                        for d in range(n)
-                    ],
-                    axis=-1,
-                )  # (..., C, d)
+                grads = _fd_stack(field, points, h, -1)  # (..., C, d)
                 return np.einsum("...Cd,...d->...C", grads, V(points))
             return FormField(n, 0, func0)
         d_omega = exterior_derivative(field, h)
@@ -342,9 +318,8 @@ def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
     if isinstance(field, VectorField):
         def func_vec(points):
             points = np.asarray(points, float)
-            n = points.shape[-1]
-            jV = _vector_jacobian(V, points, n, h)
-            jW = _vector_jacobian(field, points, n, h)
+            jV = _fd_stack(V, points, h, -1)
+            jW = _fd_stack(field, points, h, -1)
             return np.einsum("...ad,...d->...a", jW, V(points)) - np.einsum(
                 "...ad,...d->...a", jV, field(points)
             )
@@ -354,16 +329,8 @@ def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
     if isinstance(field, SymTensorField):
         def func_t(points):
             points = np.asarray(points, float)
-            n = points.shape[-1]
-            dT = np.stack(
-                [
-                    (field(_shift(points, d, h)) - field(_shift(points, d, -h)))
-                    / (2 * h)
-                    for d in range(n)
-                ],
-                axis=-3,
-            )
-            jV = _vector_jacobian(V, points, n, h)  # (..., a, d)
+            dT = _fd_stack(field, points, h, -3)
+            jV = _fd_stack(V, points, h, -1)  # (..., a, d)
             Tv = field(points)
             out = np.einsum("...dab,...d->...ab", dT, V(points))
             out -= np.einsum("...ac,...cb->...ab", jV, Tv)
@@ -375,16 +342,8 @@ def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
     if isinstance(field, (MetricField, Cov2Field)):
         def func_g(points):
             points = np.asarray(points, float)
-            n = points.shape[-1]
-            dg = np.stack(
-                [
-                    (field(_shift(points, d, h)) - field(_shift(points, d, -h)))
-                    / (2 * h)
-                    for d in range(n)
-                ],
-                axis=-3,
-            )
-            jV = _vector_jacobian(V, points, n, h)  # (..., c, d) = d_d V^c
+            dg = _fd_stack(field, points, h, -3)
+            jV = _fd_stack(V, points, h, -1)  # (..., c, d) = d_d V^c
             gv = field(points)
             out = np.einsum("...dab,...d->...ab", dg, V(points))
             out += np.einsum("...cb,...ca->...ab", gv, jV)
@@ -407,13 +366,9 @@ def killing_residual(
     fields.  The sum is returned.
     """
     points = np.asarray(sample_points, float)
-    n = g.n
     gv = g(points)
-    jK = _vector_jacobian(K, points, n, h)  # (..., b, a) = d_a K^b
-    dg = np.stack(
-        [(g(_shift(points, d, h)) - g(_shift(points, d, -h))) / (2 * h) for d in range(n)],
-        axis=-3,
-    )
+    jK = _fd_stack(K, points, h, -1)  # (..., b, a) = d_a K^b
+    dg = _fd_stack(g, points, h, -3)
     # d_a K_c = (d_a g_cb) K^b + g_cb d_a K^b
     dKl = np.einsum("...acb,...b->...ac", dg, K(points)) + np.einsum(
         "...cb,...ba->...ac", gv, jK
@@ -438,11 +393,7 @@ def active_transform(g_elt: PoincareElement, field):
     A = g_elt.A
 
     if isinstance(field, ScalarField):
-        return ScalarField(
-            lambda pts: field(ginv.apply(pts)),
-            stationary=False,
-            support_radius=None,
-        )
+        return ScalarField(lambda pts: field(ginv.apply(pts)))
     if isinstance(field, VectorField):
         return VectorField(lambda pts: field(ginv.apply(pts)) @ A.T)
     if isinstance(field, SymTensorField):
@@ -509,7 +460,7 @@ def boost_emt_analytic(T: SymTensorField, beta: float) -> SymTensorField:
                 out[..., m, k] = Tv[..., m, k]
         return out
 
-    return SymTensorField(func, stationary=False, support_radius=None)
+    return SymTensorField(func)
 
 
 def emt_to_form(T: SymTensorField, g: MetricField) -> CoFormField:
@@ -600,17 +551,11 @@ def identity_residuals(
 
     tk = contract_coform(calT, K)
     lhs = exterior_derivative(tk, h)(points)[..., 0]
-    jK = _vector_jacobian(K, points, n, h)  # (..., a, d) = d_d K^a
+    jK = _fd_stack(K, points, h, -1)  # (..., a, d) = d_d K^a
     dg = (
         np.zeros(points.shape[:-1] + (n, n, n))
         if g.flat
-        else np.stack(
-            [
-                (g(_shift(points, d, h)) - g(_shift(points, d, -h))) / (2 * h)
-                for d in range(n)
-            ],
-            axis=-3,
-        )
+        else _fd_stack(g, points, h, -3)
     )
     Kv = K(points)
     dKl = np.einsum("...acb,...b->...ac", dg, Kv) + np.einsum(

@@ -35,6 +35,8 @@ __all__ = [
     "flux_charge",
     "flux_charge_normal_form",
     "four_momentum",
+    "patch_moments",
+    "stress_integrals",
     "laue_integrals",
     "laue_satisfied",
     "LAUE_NAMES",
@@ -49,23 +51,38 @@ __all__ = [
 LAUE_NAMES = ("T01", "T02", "T03", "T11", "T12", "T13", "T22", "T23", "T33")
 
 
-def pairwise_sum(values: np.ndarray) -> float:
-    """Fixed-order pairwise reduction (tree over 128-element blocks)."""
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        return 0.0
-    block = 128
-    if values.size <= block:
-        return float(np.add.reduce(values))
-    partials = [
-        pairwise_sum(values[i : i + block]) for i in range(0, values.size, block)
-    ]
-    arr = np.array(partials)
-    while arr.size > 1:
-        half = arr.size // 2
-        head = arr[: 2 * half].reshape(half, 2).sum(axis=1)
-        arr = np.concatenate([head, arr[2 * half :]])
-    return float(arr[0])
+BLOCK = 128
+# 512 = 2**9 blocks: every tile but the last is a whole subtree of the
+# pairwise tree, so pairwise-summing the tile sums is the whole-column sum
+TILE = 65536
+
+
+def _pair_tree(partials: np.ndarray) -> np.ndarray:
+    """Add adjacent partials level by level along the last axis, carrying an odd tail."""
+    while partials.shape[-1] > 1:
+        half = partials.shape[-1] // 2
+        head = partials[..., : 2 * half].reshape(partials.shape[:-1] + (half, 2)).sum(axis=-1)
+        partials = np.concatenate([head, partials[..., 2 * half :]], axis=-1)
+    return partials[..., 0]
+
+
+def pairwise_sum(values: np.ndarray):
+    """Fixed-order pairwise reduction: numpy sums each 128-block, then
+    :func:`_pair_tree` adds the block sums.
+
+    A 2-D (m, c) input gives its c column sums, each bitwise the sum of
+    that column alone; any other input is flattened and gives a float.
+    """
+    values = np.asarray(values, dtype=float)
+    columns = values.ndim == 2
+    rows = np.ascontiguousarray(values.T) if columns else values.reshape(1, -1)
+    m = rows.shape[1]
+    full = m - m % BLOCK
+    sums = rows[:, :full].reshape(len(rows), full // BLOCK, BLOCK).sum(axis=-1)
+    if full < m:
+        sums = np.concatenate([sums, rows[:, full:].sum(axis=-1, keepdims=True)], axis=-1)
+    sums = _pair_tree(sums) if m else np.zeros(len(rows))
+    return sums if columns else float(sums[0])
 
 
 def _thread_count() -> int:
@@ -76,20 +93,24 @@ def _thread_count() -> int:
         return 1
 
 
-def evaluate_tiled(func: Callable, points: np.ndarray, tile: int = 65536) -> np.ndarray:
+def _map_tiles(work: Callable, m: int) -> list:
+    """``work(lo, hi)`` on the tiles of range(m), pooled; results in tile order."""
+    bounds = [(lo, min(lo + TILE, m)) for lo in range(0, m, TILE)]
+    workers = _thread_count()
+    if workers > 1 and len(bounds) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda b: work(*b), bounds))
+    return [work(lo, hi) for lo, hi in bounds]
+
+
+def evaluate_tiled(func: Callable, points: np.ndarray) -> np.ndarray:
     """Evaluate a batched field tile by tile; tile order fixes the result."""
     points = np.asarray(points, float)
-    m = points.shape[0]
-    if m <= tile:
+    if points.shape[0] <= TILE:
         return np.asarray(func(points), float)
-    chunks = [points[i : i + tile] for i in range(0, m, tile)]
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: np.asarray(func(c), float), chunks))
-    else:
-        parts = [np.asarray(func(c), float) for c in chunks]
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(
+        _map_tiles(lambda lo, hi: np.asarray(func(points[lo:hi]), float), points.shape[0])
+    )
 
 
 @dataclass(frozen=True)
@@ -181,11 +202,6 @@ class HyperplanePatch:
         return replace(self, rule_nodes=np.asarray(nodes, float),
                        rule_weights=np.asarray(weights, float))
 
-    def refined(self, factor: int = 2) -> "HyperplanePatch":
-        if self.rule_nodes is not None:
-            raise ValueError("refine custom-rule patches by rebuilding the rule")
-        return replace(self, grid=tuple(g * factor for g in self.grid))
-
     def nodes_weights(self):
         """Tangent-coordinate nodes and weights of the quadrature rule."""
         if self.rule_nodes is not None:
@@ -202,9 +218,14 @@ class HyperplanePatch:
         return nodes, weights
 
     def points(self, nodes=None) -> np.ndarray:
+        """origin + sum_k nodes[:, k] frame[k], summed row by row without BLAS
+        (exact for coordinate frames, and single-threaded)."""
         if nodes is None:
             nodes, _ = self.nodes_weights()
-        return self.origin + nodes @ self.tangent_frame
+        pts = np.repeat(self.origin[None, :], len(nodes), axis=0)
+        for k, row in enumerate(self.tangent_frame):
+            pts += nodes[:, k, None] * row
+        return pts
 
     def frame_phase(self) -> float:
         """Coordinate determinant det[normal | tangent frame] (+-1 flat)."""
@@ -259,39 +280,56 @@ def _measure_factor(patch: HyperplanePatch) -> float:
     return sign * patch.frame_phase() * patch.orientation
 
 
+def _reduce_patch(func: Callable, patch: HyperplanePatch, factor: float, weighted_rows: Callable):
+    """Sums over the patch of ``weighted_rows(samples, points, w)``, a (c, m)
+    array per tile whose rows carry w, the rule weight times ``factor``:
+    the one sample-and-reduce pass.
+
+    Tile by tile it forms the points, samples ``func``, rejects non-finite
+    samples and pairwise-sums each row; the tile sums then go through the
+    same pairwise tree, so every result is bitwise the pairwise sum of the
+    whole row, at any thread count, while memory stays bounded by the tile.
+    """
+    nodes, weights = patch.nodes_weights()
+    weights = weights * factor
+
+    def tile_sums(lo, hi):
+        pts = patch.points(nodes[lo:hi])
+        vals = evaluate_tiled(func, pts)
+        if not np.all(np.isfinite(vals)):
+            bad = np.argwhere(~np.isfinite(vals))[0]
+            raise FloatingPointError(f"non-finite sample near point {pts[bad[0]]}")
+        # the transpose of the rows is column input that needs no copy
+        return pairwise_sum(weighted_rows(vals, pts, weights[lo:hi]).T)
+
+    return _pair_tree(np.stack(_map_tiles(tile_sums, len(weights)), axis=-1))
+
+
 def integrate_form(omega, patch: HyperplanePatch) -> float:
     """Midpoint (or custom-rule) integral of an (n-1)-form over the patch.
 
     Deterministic pairwise summation; aborts on non-finite samples.
     """
     n = patch.sig.n
-    nodes, weights = patch.nodes_weights()
-    pts = patch.points(nodes)
-    vals = evaluate_tiled(omega, pts)
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        raise FloatingPointError(
-            f"non-finite form sample near point {pts[bad[0]]}"
-        )
     # pull back onto the tangent frame: sum_I omega_I det(frame[I])
     dets = np.array(
         [np.linalg.det(patch.tangent_frame.T[list(I), :]) for I in multi_indices(n, n - 1)]
     )
-    scalars = vals @ dets
-    return patch.orientation * pairwise_sum(scalars * weights)
+
+    def pulled_back(vals, pts, w):
+        return (np.sum(vals * dets, axis=1) * w)[None]
+
+    return float(_reduce_patch(omega, patch, patch.orientation, pulled_back)[0])
 
 
 def integrate_scalar_density(f, patch: HyperplanePatch, g: Optional[MetricField] = None) -> float:
     """Integral of a scalar against the induced measure d(mu)."""
-    nodes, weights = patch.nodes_weights()
-    pts = patch.points(nodes)
-    vals = evaluate_tiled(f, pts)
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("non-finite scalar sample")
-    factor = _measure_factor(patch)
-    if g is not None and not g.flat:
-        factor = factor * evaluate_tiled(g.eps_top, pts)
-    return pairwise_sum(vals * weights * factor)
+    curved = g is not None and not g.flat
+
+    def density(vals, pts, w):
+        return ((vals * g.eps_top(pts) if curved else vals) * w)[None]
+
+    return float(_reduce_patch(f, patch, _measure_factor(patch), density)[0])
 
 
 def flux_charge(J: VectorField, patch: HyperplanePatch, g: MetricField) -> float:
@@ -322,24 +360,40 @@ def flux_charge_normal_form(J: VectorField, patch: HyperplanePatch, g: MetricFie
     return integrate_scalar_density(f, patch, g)
 
 
+def patch_moments(T: SymTensorField, patch: HyperplanePatch, origin=None):
+    """The weighted moments every global quantity of T on the patch contracts.
+
+    M0^{ab} = sum w T^{ab} and, when an origin is given,
+    M1^{abc} = sum (w T^{ab}) (x - origin)^c, where w is the rule weight
+    times the induced-measure factor; M1 is None without an origin.  The
+    patch is sampled once.
+    """
+    n = patch.sig.n
+    k = n * n
+    if origin is not None:
+        origin = np.asarray(origin, float)
+
+    def weighted_rows(Tv, pts, w):
+        m = len(pts)
+        rows = np.empty((k if origin is None else k + k * n, m))
+        np.multiply(Tv.reshape(m, k).T, w, out=rows[:k])
+        if origin is not None:  # rows (ab, c) of (w T^{ab}) (x - origin)^c
+            np.multiply(rows[:k, None], (pts - origin).T, out=rows[k:].reshape(k, n, m))
+        return rows
+
+    sums = _reduce_patch(T, patch, _measure_factor(patch), weighted_rows)
+    M1 = None if origin is None else sums[k:].reshape(n, n, n)
+    return sums[:k].reshape(n, n), M1
+
+
 def four_momentum(T: SymTensorField, patch: HyperplanePatch) -> np.ndarray:
     """Row-current fluxes: the integral of T^{a b} n_b over the patch."""
-    eta = patch.sig.matrix
-    n_low = eta @ patch.normal
-    nodes, weights = patch.nodes_weights()
-    pts = patch.points(nodes)
-    Tv = evaluate_tiled(T, pts)
-    if not np.all(np.isfinite(Tv)):
-        raise FloatingPointError("non-finite tensor sample")
-    F = Tv @ n_low
-    factor = _measure_factor(patch)
-    return np.array(
-        [pairwise_sum(F[:, a] * weights) * factor for a in range(patch.sig.n)]
-    )
+    return patch_moments(T, patch)[0] @ (patch.sig.matrix @ patch.normal)
 
 
-def laue_integrals(T: SymTensorField, patch: HyperplanePatch):
-    """The nine time-slice stress integrals: rows T^{0m}, block T^{mn}, m <= n.
+def stress_integrals(M0: np.ndarray, patch: HyperplanePatch) -> dict:
+    """The nine time-slice stress integrals read off the moment M0 of T:
+    rows T^{0m}, block T^{mn}, m <= n.
 
     Requires a constant-time patch in a four-dimensional chart.  Symmetry of
     T is asserted by construction, so the twelve naive integrals reduce to
@@ -352,15 +406,12 @@ def laue_integrals(T: SymTensorField, patch: HyperplanePatch):
     e0[0] = 1.0
     if np.max(np.abs(np.abs(patch.normal) - e0)) > 1e-12:
         raise ValueError("stress integrals are defined on a constant-time slice")
-    nodes, weights = patch.nodes_weights()
-    pts = patch.points(nodes)
-    Tv = evaluate_tiled(T, pts)
-    factor = _measure_factor(patch)
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
-    values = np.array(
-        [pairwise_sum(Tv[:, a, b] * weights) * factor for a, b in pairs]
-    )
-    return dict(zip(LAUE_NAMES, values))
+    return {name: M0[int(name[1]), int(name[2])] for name in LAUE_NAMES}
+
+
+def laue_integrals(T: SymTensorField, patch: HyperplanePatch):
+    """The nine time-slice stress integrals of T (see :func:`stress_integrals`)."""
+    return stress_integrals(patch_moments(T, patch)[0], patch)
 
 
 def laue_satisfied(stress: dict, tol: float) -> bool:
@@ -409,28 +460,21 @@ def momentum_map(
     pairing(value, xi_i) = flux_i.  The translation sector reproduces
     :func:`four_momentum`.
     """
+    from .poincare import bivector_to_matrix
+
     sig = sig or patch.sig
     n = sig.n
     origin = np.asarray(origin, float)
     eta = sig.matrix
     n_low = eta @ patch.normal
-    nodes, weights = patch.nodes_weights()
-    pts = patch.points(nodes)
-    Tv = evaluate_tiled(T, pts)
-    if not np.all(np.isfinite(Tv)):
-        raise FloatingPointError("non-finite tensor sample")
-    F = Tv @ n_low  # F^a = T^{ab} n_b per node
-    factor = _measure_factor(patch)
+    M0, M1 = patch_moments(T, patch, origin)
+    F0 = M0 @ n_low  # sum w T^{ab} n_b
+    F1 = np.einsum("abc,b->ac", M1, n_low)  # sum w T^{ab} n_b (x - origin)^c
+    # the current of xi is K_a T^{ab} with K = P + E (x - origin)
     basis = momentum_basis(n)
-    from .poincare import bivector_to_matrix
-
-    fluxes = []
-    for xi in basis:
-        E = bivector_to_matrix(xi.M, sig)
-        K = xi.P + (pts - origin) @ E.T
-        K_low = K @ eta
-        fluxes.append(pairwise_sum(np.sum(K_low * F, axis=1) * weights) * factor)
-    fluxes = np.array(fluxes)
+    fluxes = np.array(
+        [eta @ xi.P @ F0 + np.sum((eta @ bivector_to_matrix(xi.M, sig)) * F1) for xi in basis]
+    )
     gram = np.array([[pairing(x, y, sig) for y in basis] for x in basis])
     try:
         coeffs = np.linalg.solve(gram, fluxes)

@@ -124,17 +124,10 @@ class ScenarioSpec:
                 self._radial_segments(scale, outer), n_ang, n_ang
             )
         elif self.kind == "cartesian":
-            hw = self.box_half_widths
-            N = max(2, round(48 * scale))
-            axes = []
-            cell = 1.0
-            for L in hw:
-                step = 2.0 * L / N
-                axes.append(-L + (np.arange(N) + 0.5) * step)
-                cell *= step
-            mesh = np.meshgrid(*axes, indexing="ij")
-            nodes_u = np.stack([m.ravel() for m in mesh], axis=-1)
-            weights_u = np.full(nodes_u.shape[0], cell)
+            grid = (max(2, round(48 * scale)),)
+            nodes_u, weights_u = HyperplanePatch.time_slice(
+                sig, half_widths=self.box_half_widths, grid=grid
+            ).nodes_weights()
         else:
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
         nodes, weights = map_rule_affine(nodes_u, weights_u, S, shift)
@@ -161,18 +154,20 @@ def run_scenario(
 ) -> ScenarioResult:
     """Build a scenario, integrate it on its preferred slice rule, and
     collect the scenario-specific scalars (weak-field passive mass and the
-    pointwise mass-integrand identity residual for stationary systems)."""
-    from .quadrature import four_momentum, laue_integrals
+    mass-integrand identity residual for stationary systems); the slice is
+    sampled once."""
+    from .quadrature import patch_moments, stress_integrals
 
     sig = sig or Signature.mostly_minus(4)
     T, spec = build(name, **(params or {}))
     patch = spec.slice_patch(sig, scale=scale)
-    P = four_momentum(T, patch)
+    M0, _ = patch_moments(T, patch)
+    P = M0 @ (patch.sig.matrix @ patch.normal)
     stress = {}
     extras = {}
     if spec.stationary:
-        stress = laue_integrals(T, patch)
-        L_int, passive_mass, residual = tolman_weak_ep(T, -1.0, patch)
+        stress = stress_integrals(M0, patch)
+        L_int, passive_mass, residual = _weak_ep(M0, -1.0, patch)
         extras["passive_mass"] = passive_mass
         extras["tolman_integrand_residual"] = residual
     return ScenarioResult(
@@ -236,7 +231,7 @@ def build(name: str, **params):
             out[..., 0, 0] = rho0 * np.exp(-r2 / sigma**2)
             return out
 
-        T = SymTensorField(func, stationary=True, support_radius=None)
+        T = SymTensorField(func, stationary=True)
         spec = ScenarioSpec(
             name,
             {"rho0": rho0, "sigma": sigma},
@@ -264,7 +259,7 @@ def build(name: str, **params):
         def func(points, q=q, R=R, r_out=r_out, completed=completed, m=mollify):
             return _shell_stress(points, q, R, r_out, completed, m)
 
-        T = SymTensorField(func, stationary=True, support_radius=None)
+        T = SymTensorField(func, stationary=True)
         P0 = q**2 / (8.0 * math.pi) * (1.0 / R - 1.0 / r_out)
         spec = ScenarioSpec(
             name,
@@ -300,7 +295,7 @@ def build(name: str, **params):
             inside = np.all(np.abs(points[..., 1:]) <= half, axis=-1)
             return inside[..., None, None] * block
 
-        T = SymTensorField(func, stationary=True, support_radius=float(np.max(half)) * 2)
+        T = SymTensorField(func, stationary=True)
         V = float(np.prod(box))
         spec = ScenarioSpec(
             name,
@@ -357,26 +352,28 @@ def tolman_weak_ep(T: SymTensorField, phi_value: float, patch: HyperplanePatch):
     """Static weak-field coupling integral and the passive mass it implies.
 
     Returns (L_int, passive_mass, integrand_identity_residual) where the
-    residual checks pointwise that the energy-plus-stress-trace combination
-    equals twice the trace-reversed tensor contracted with the slice normal.
+    residual checks that the energy-plus-stress-trace combination equals
+    twice the trace-reversed tensor contracted with the slice normal.  The
+    identity is linear in T, so it is checked on the integrated tensor
+    M0^{ab} = integral of T^{ab}, the same algebra as at each node.
     """
-    from .quadrature import evaluate_tiled, pairwise_sum
+    from .quadrature import patch_moments
 
     if phi_value == 0:
         raise ValueError("potential value must be nonzero to define a mass")
-    nodes, weights = patch.nodes_weights()
-    pts = patch.points(nodes)
-    Tv = evaluate_tiled(T, pts)
-    combo = Tv[..., 0, 0] + Tv[..., 1, 1] + Tv[..., 2, 2] + Tv[..., 3, 3]
+    return _weak_ep(patch_moments(T, patch)[0], phi_value, patch)
+
+
+def _weak_ep(M0: np.ndarray, phi_value: float, patch: HyperplanePatch):
+    """:func:`tolman_weak_ep` read off the moment M0 of T on the patch."""
+    combo = M0[0, 0] + M0[1, 1] + M0[2, 2] + M0[3, 3]
     eta = patch.sig.matrix
-    trace = np.einsum("ab,...ab->...", eta, Tv)
-    n_vec = patch.normal
-    trace_reversed = Tv - 0.5 * trace[..., None, None] * np.linalg.inv(eta)
-    projected = 2.0 * np.einsum("...ab,a,b->...", trace_reversed, eta @ n_vec, eta @ n_vec)
-    residual = float(np.max(np.abs(combo - projected)))
-    factor = patch.orientation * patch.frame_phase() * (1.0 if patch.normal_square() > 0 else -1.0)
-    L_int = phi_value * pairwise_sum(combo * weights) * factor
-    return L_int, L_int / phi_value, residual
+    trace = np.sum(eta * M0)
+    n_low = eta @ patch.normal
+    trace_reversed = M0 - 0.5 * trace * np.linalg.inv(eta)
+    projected = 2.0 * n_low @ trace_reversed @ n_low
+    L_int = phi_value * combo
+    return L_int, L_int / phi_value, float(abs(combo - projected))
 
 
 def kinetic_stress_sums(particles):

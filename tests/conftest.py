@@ -40,9 +40,7 @@ def make_conserved_blob(rho0=1.0, amp=0.5):
         points = np.asarray(points, float)
         return np.zeros_like(points)
 
-    return SymTensorField(
-        func, stationary=True, support_radius=None, analytic_divergence=div_func
-    )
+    return SymTensorField(func, stationary=True, analytic_divergence=div_func)
 
 
 @pytest.fixture(scope="session")

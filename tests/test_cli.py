@@ -142,6 +142,19 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def test_box_l_flag_rejected(capsys):
+    code, _, _ = run(capsys, "verify", "algebra", "--box-l", "3")
+    assert code == EXIT_USAGE
+
+
+def test_box_l_config_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nbox_l = 3\n")
+    code, _, err = run(capsys, "--config", str(cfg), "verify", "algebra")
+    assert code == EXIT_USAGE
+    assert "unknown config key 'box_l'" in err
+
+
 def test_determinism_identical_bytes(capsys):
     _, out1, _ = run(capsys, "verify", "algebra", "--seed", "42")
     _, out2, _ = run(capsys, "verify", "algebra", "--seed", "42")

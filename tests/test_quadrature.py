@@ -29,6 +29,7 @@ from laue_lab.poincare import (
 )
 from laue_lab.quadrature import (
     LAUE_NAMES,
+    TILE,
     HyperplanePatch,
     flux_charge,
     flux_charge_normal_form,
@@ -40,9 +41,11 @@ from laue_lab.quadrature import (
     map_rule_affine,
     momentum_map,
     pairwise_sum,
+    patch_moments,
     spherical_rule,
     transform_patch,
 )
+from laue_lab.scenarios import tolman_weak_ep
 
 from conftest import make_static_dust
 
@@ -485,3 +488,109 @@ def test_determinism_across_thread_env(monkeypatch):
     v4 = integrate_scalar_density(f, patch)
     assert on_main == [True, True, False, False]  # two tiles, pooled under 4
     assert v1 == v4  # bitwise equal
+
+
+# --- the streamed sample-and-reduce pass ---
+
+
+def recursive_pairwise_sum(values):
+    """The recursive form of the fixed-order tree, kept as the reference."""
+    values = np.asarray(values, dtype=float).ravel()
+    if values.size == 0:
+        return 0.0
+    block = 128
+    if values.size <= block:
+        return float(np.add.reduce(values))
+    partials = [
+        recursive_pairwise_sum(values[i : i + block]) for i in range(0, values.size, block)
+    ]
+    arr = np.array(partials)
+    while arr.size > 1:
+        half = arr.size // 2
+        head = arr[: 2 * half].reshape(half, 2).sum(axis=1)
+        arr = np.concatenate([head, arr[2 * half :]])
+    return float(arr[0])
+
+
+@pytest.mark.parametrize("m", [0, 1, 127, 128, 129, 65_541, 2 * TILE + 5])
+def test_pairwise_sum_keeps_the_recursive_tree(m):
+    rng = np.random.default_rng(m)
+    cols = rng.standard_normal((m, 3)) * np.exp(rng.uniform(-20.0, 20.0, (m, 3)))
+    ref = [recursive_pairwise_sum(cols[:, j]) for j in range(3)]
+    assert [pairwise_sum(cols[:, j]) for j in range(3)] == ref  # bitwise
+    got = pairwise_sum(cols)
+    assert got.shape == (3,)
+    assert list(got) == ref  # column input, bitwise
+
+
+def two_tile_patch():
+    # a boosted, shifted 48^3 box: 110,592 nodes in two tiles, and a measure
+    # factor and frame that are not exactly the coordinate ones
+    g = compose(standard_boost(1, 0.3), translation([0.1, 0.2, -0.1, 0.05]))
+    return transform_patch(g, HyperplanePatch.time_slice(SIG, half_widths=2.0, grid=(48,)))
+
+
+def test_patch_moments_bitwise_across_threads_and_whole_array(monkeypatch):
+    dust = make_static_dust(1.0, 0.7)
+    on_main = []
+
+    def T(points):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return dust(points)
+
+    T = SymTensorField(T)
+    patch = two_tile_patch()
+    origin = np.array([0.0, 0.3, -0.2, 0.1])
+    monkeypatch.setenv("LAUE_LAB_THREADS", "1")
+    M0_1, M1_1 = patch_moments(T, patch, origin)
+    monkeypatch.setenv("LAUE_LAB_THREADS", "2")
+    M0_2, M1_2 = patch_moments(T, patch, origin)
+    assert on_main == [True, True, False, False]  # two tiles, pooled under 2
+    assert np.array_equal(M0_1, M0_2) and np.array_equal(M1_1, M1_2)
+
+    nodes, weights = patch.nodes_weights()
+    pts = patch.points(nodes)
+    Tv = dust(pts)
+    w = weights * (patch.orientation * patch.frame_phase())  # timelike normal
+    first = (Tv * w[:, None, None])[:, :, :, None] * (pts - origin)[:, None, None, :]
+    M0_ref = [[recursive_pairwise_sum(Tv[:, a, b] * w) for b in range(4)] for a in range(4)]
+    M1_ref = [
+        [[recursive_pairwise_sum(first[:, a, b, c]) for c in range(4)] for b in range(4)]
+        for a in range(4)
+    ]
+    assert np.array_equal(M0_1, np.array(M0_ref))
+    assert np.array_equal(M1_1, np.array(M1_ref))
+    assert patch_moments(T, patch)[1] is None
+
+
+def nan_at_one_node():
+    """Static dust with a NaN sample at one node in the second tile."""
+    patch = HyperplanePatch.time_slice(SIG, half_widths=2.0, grid=(48,))
+    bad = patch.points()[100_000]
+    dust = make_static_dust(1.0, 0.7)
+
+    def func(points):
+        out = dust(points)
+        out[np.all(points == bad, axis=-1)] = np.nan
+        return out
+
+    return SymTensorField(func, stationary=True), patch
+
+
+@pytest.mark.parametrize(
+    "integral",
+    [
+        lambda T, patch: four_momentum(T, patch),
+        lambda T, patch: laue_integrals(T, patch),
+        lambda T, patch: momentum_map(T, patch, np.zeros(4)),
+        lambda T, patch: tolman_weak_ep(T, -1.0, patch),
+        lambda T, patch: integrate_form(FormField(4, 3, lambda p: T(p)[..., 0, :]), patch),
+        lambda T, patch: integrate_scalar_density(lambda p: T(p)[..., 0, 0], patch),
+    ],
+    ids=["four_momentum", "laue_integrals", "momentum_map", "tolman_weak_ep",
+         "integrate_form", "integrate_scalar_density"],
+)
+def test_non_finite_sample_raises_everywhere(integral):
+    T, patch = nan_at_one_node()
+    with pytest.raises(FloatingPointError, match="non-finite sample"):
+        integral(T, patch)
