@@ -34,6 +34,7 @@ from .quadrature import (
     HyperplanePatch,
     IntegralRecord,
     _measure_factor,
+    _reduce_patch,
     evaluate_tiled,
     flux_charge,
     four_momentum,
@@ -280,17 +281,11 @@ def gauss_residual(
     if patch.rule_nodes is not None:
         raise ValueError("the boundary quadrature needs the default box rule")
     n = patch.sig.n
-    nodes, weights = patch.nodes_weights()
-    pts = patch.points(nodes)
-    Tv = evaluate_tiled(T, pts)
-    gphi = phi.gradient(pts, h)
-    factor = _measure_factor(patch)
-    lhs = np.array(
-        [
-            pairwise_sum(np.sum(Tv[:, mu, 1:] * gphi[:, 1:], axis=1) * weights) * factor
-            for mu in range(n)
-        ]
-    )
+
+    def interior(Tv, pts, w):  # rows mu of w T^{mu k} d_k phi over the slice axes
+        return np.einsum("mak,mk->am", Tv[:, :, 1:], phi.gradient(pts, h)[:, 1:]) * w
+
+    lhs = _reduce_patch(T, patch, _measure_factor(patch), interior)
     rhs = np.zeros(n)
     n_t = n - 1
     for axis in range(n_t):

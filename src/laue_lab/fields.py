@@ -24,7 +24,7 @@ from .exterior import (
     multi_indices,
     wedge_comps,
 )
-from .poincare import PoincareElement, invert
+from .poincare import PoincareElement, _matvec, invert
 
 __all__ = [
     "ScalarField",
@@ -387,41 +387,38 @@ def active_transform(g_elt: PoincareElement, field):
     """Push a field forward along the affine automorphism x -> A x + a.
 
     Contravariant ranks push forward, covariant ranks pull back along the
-    inverse, so composition order matches the group law.
+    inverse, so composition order matches the group law.  Every rank is one
+    constant matrix applied per node by :func:`poincare._matvec`; rank-2
+    fields act on their flattened n*n components through a Kronecker square.
     """
     ginv = invert(g_elt)
-    A = g_elt.A
+    A, Ainv = g_elt.A, ginv.A
+
+    def mapped(M, rank=1):
+        def func(points):
+            vals = field(ginv.apply(points))
+            comps = vals.reshape(vals.shape[: vals.ndim - rank] + (-1,))
+            return _matvec(comps, M).reshape(vals.shape)
+
+        return func
 
     if isinstance(field, ScalarField):
         return ScalarField(lambda pts: field(ginv.apply(pts)))
     if isinstance(field, VectorField):
-        return VectorField(lambda pts: field(ginv.apply(pts)) @ A.T)
+        return VectorField(mapped(A))
     if isinstance(field, SymTensorField):
-        def func(points):
-            Tv = field(ginv.apply(points))
-            return np.einsum("ac,...cd,bd->...ab", A, Tv, A)
-
-        return SymTensorField(func)
+        return SymTensorField(mapped(np.kron(A, A), rank=2))
     if isinstance(field, FormField):
         n, p = field.n, field.p
         if p == 0:
             return FormField(n, 0, lambda pts: field(ginv.apply(pts)))
-        Ainv = ginv.A
         idxs = multi_indices(n, p)
         D = np.array([[minor_det(Ainv, J, I) for I in idxs] for J in idxs])
-
-        def funcf(points):
-            return field(ginv.apply(points)) @ D
-
-        return FormField(n, p, funcf)
+        return FormField(n, p, mapped(D.T))
     if isinstance(field, MetricField):
-        Ainv = ginv.A
-
-        def funcg(points):
-            gv = field(ginv.apply(points))
-            return np.einsum("ca,...cd,db->...ab", Ainv, gv, Ainv)
-
-        return MetricField(field.sig, funcg, flat=field.flat and np.allclose(Ainv.T @ field.sig.matrix @ Ainv, field.sig.matrix))
+        eta = field.sig.matrix
+        flat = field.flat and np.allclose(Ainv.T @ eta @ Ainv, eta)
+        return MetricField(field.sig, mapped(np.kron(Ainv.T, Ainv.T), rank=2), flat=flat)
     raise TypeError(f"no active transform for {type(field)!r}")
 
 

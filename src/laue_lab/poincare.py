@@ -49,6 +49,16 @@ __all__ = [
 ]
 
 
+def _matvec(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """M applied to every vector along the last axis of x.
+
+    A two-operand einsum: single-threaded and BLAS-free, so a per-node map
+    costs no OpenBLAS thread wake-ups, and each node's result depends only
+    on that node (bitwise the same however the nodes are tiled).
+    """
+    return np.einsum("...j,ij->...i", x, M)
+
+
 @dataclass(frozen=True)
 class PoincareElement:
     """Affine map x -> A x + a relative to a declared chart and origin."""
@@ -74,8 +84,7 @@ class PoincareElement:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x + a, batched over the leading axes of x."""
-        x = np.asarray(x, dtype=float)
-        return x @ self.A.T + self.a
+        return _matvec(np.asarray(x, dtype=float), self.A) + self.a
 
 
 @dataclass(frozen=True)
@@ -190,8 +199,7 @@ def translation(a: np.ndarray) -> PoincareElement:
 
 def chart_transition(B: AffineChartMap, coords: np.ndarray) -> np.ndarray:
     """Passive re-expression of the same point in another affine chart."""
-    coords = np.asarray(coords, dtype=float)
-    return coords @ B.A.T + B.a
+    return _matvec(np.asarray(coords, dtype=float), B.A) + B.a
 
 
 def active_in_chart(g: PoincareElement, coords: np.ndarray) -> np.ndarray:
@@ -313,7 +321,7 @@ def fundamental_field(xi: PoinLieElement, origin: np.ndarray, sig: Signature):
 
     def eval_field(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        return P + (points - origin) @ E.T
+        return P + _matvec(points - origin, E)
 
     return eval_field
 

@@ -13,6 +13,7 @@ and thread counts (``LAUE_LAB_THREADS`` caps the evaluation pool).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,7 @@ import numpy as np
 
 from .exterior import Signature, hodge_comps, multi_indices
 from .fields import MetricField, SymTensorField, VectorField
-from .poincare import PoincareElement, PoinLieElement, is_isometry, pairing
+from .poincare import PoincareElement, PoinLieElement, _matvec, is_isometry, pairing
 
 __all__ = [
     "HyperplanePatch",
@@ -86,11 +87,18 @@ def pairwise_sum(values: np.ndarray):
 
 
 def _thread_count() -> int:
+    """``LAUE_LAB_THREADS``, at least 1 and at most ``os.cpu_count()``."""
     raw = os.environ.get("LAUE_LAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        return min(max(1, int(raw)), os.cpu_count() or 1)
     except ValueError:
         return 1
+
+
+@functools.lru_cache(maxsize=None)  # one pool per clamped size, so at most cpu_count
+def _executor(workers: int) -> ThreadPoolExecutor:
+    """The process's evaluation pool of ``workers`` threads, built on first use."""
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="laue-lab")
 
 
 def _map_tiles(work: Callable, m: int) -> list:
@@ -98,8 +106,7 @@ def _map_tiles(work: Callable, m: int) -> list:
     bounds = [(lo, min(lo + TILE, m)) for lo in range(0, m, TILE)]
     workers = _thread_count()
     if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda b: work(*b), bounds))
+        return list(_executor(workers).map(lambda b: work(*b), bounds))
     return [work(lo, hi) for lo, hi in bounds]
 
 
@@ -548,5 +555,5 @@ def map_rule_affine(nodes: np.ndarray, weights: np.ndarray, S: np.ndarray, shift
     """Push a spatial rule through u = S x + shift: x = S^{-1}(u - shift)."""
     S = np.asarray(S, float)
     Sinv = np.linalg.inv(S)
-    mapped = (np.asarray(nodes, float) - np.asarray(shift, float)) @ Sinv.T
+    mapped = _matvec(np.asarray(nodes, float) - np.asarray(shift, float), Sinv)
     return mapped, np.asarray(weights, float) * abs(np.linalg.det(Sinv))

@@ -26,7 +26,10 @@ from laue_lab.fields import (
     symmetry_residual,
 )
 from laue_lab.poincare import (
+    AffineChartMap,
     PoinLieElement,
+    bivector_to_matrix,
+    chart_transition,
     compose,
     fundamental_field,
     rotation,
@@ -34,6 +37,7 @@ from laue_lab.poincare import (
     translation,
     wedge_vectors,
 )
+from laue_lab.quadrature import map_rule_affine
 
 from conftest import constant_field, make_spatial_bump
 
@@ -304,6 +308,76 @@ def test_dust_equivariance_contract():
     T_built = make_T(lambda p: rho(p @ np.linalg.inv(L.A).T), L.A @ u)
     T_pushed = active_transform(L, T)
     assert np.allclose(T_built(pts), T_pushed(pts), atol=1e-12)
+
+
+def random_poincare_element(rng):
+    """Boost, rotation and translation with random non-trivial parameters."""
+    return compose(
+        compose(standard_boost(int(rng.integers(1, 4)), rng.uniform(-0.8, 0.8)),
+                rotation(1, 3, rng.uniform(0.0, 2 * math.pi))),
+        translation(rng.uniform(-1.0, 1.0, 4)),
+    )
+
+
+def probe(shape):
+    """Smooth field with generic values of the given component shape."""
+    R = np.random.default_rng(len(shape)).standard_normal((4, int(np.prod(shape, dtype=int))))
+
+    def func(points):
+        points = np.asarray(points, float)
+        return np.sin(points @ R + 0.3).reshape(points.shape[:-1] + shape)
+
+    return func
+
+
+def assert_rel_close(got, ref, rtol=1e-14):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_per_node_maps_match_matrix_product_formulas(seed):
+    # reference: the per-node formulas as matrix products and 3-operand einsums
+    rng = np.random.default_rng(seed)
+    g = random_poincare_element(rng)
+    A = g.A
+    Ainv = np.linalg.inv(A)
+    a_inv = -Ainv @ g.a
+    pts = rng.standard_normal((3, 50, 4)) * 2.0
+    under = pts @ Ainv.T + a_inv
+    assert_rel_close(g.apply(pts), pts @ A.T + g.a)
+    assert_rel_close(chart_transition(AffineChartMap(g.a, A), pts), pts @ A.T + g.a)
+    xi = PoinLieElement(rng.standard_normal(4), rng.standard_normal(6))
+    origin = rng.standard_normal(4)
+    E = bivector_to_matrix(xi.M, SIG)
+    assert_rel_close(fundamental_field(xi, origin, SIG)(pts), xi.P + (pts - origin) @ E.T)
+
+    scalar = probe(())
+    got = active_transform(g, ScalarField(scalar))(pts)
+    assert_rel_close(got, scalar(under))
+    vec = probe((4,))
+    got = active_transform(g, VectorField(vec))(pts)
+    assert_rel_close(got, vec(under) @ A.T)
+    ten = probe((4, 4))
+    got = active_transform(g, SymTensorField(ten))(pts)
+    assert_rel_close(got, np.einsum("ac,...cd,bd->...ab", A, ten(under), A))
+    for p in range(4):
+        comps = probe((math.comb(4, p),))
+        idxs = multi_indices(4, p)
+        D = np.array([[np.linalg.det(Ainv[np.ix_(J, I)]) for I in idxs] for J in idxs])
+        got = active_transform(g, FormField(4, p, comps))(pts)
+        assert_rel_close(got, comps(under) if p == 0 else comps(under) @ D)
+    met = probe((4, 4))
+    got = active_transform(g, MetricField(SIG, met))(pts)
+    assert_rel_close(got, np.einsum("ca,...cd,db->...ab", Ainv, met(under), Ainv))
+
+    S = Ainv[1:, 1:]
+    shift = rng.standard_normal(3)
+    nodes = rng.standard_normal((200, 3))
+    weights = rng.uniform(0.5, 1.0, 200)
+    mapped, w = map_rule_affine(nodes, weights, S, shift)
+    assert_rel_close(mapped, (nodes - shift) @ np.linalg.inv(S).T)
+    assert np.array_equal(w, weights * abs(np.linalg.det(np.linalg.inv(S))))
 
 
 # --- analytic boost law ---

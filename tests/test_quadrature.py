@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 
 import numpy as np
@@ -12,9 +13,11 @@ from laue_lab.exterior import (
     multi_indices,
     volume_form,
 )
+from laue_lab.checkers import gauss_residual
 from laue_lab.fields import (
     FormField,
     MetricField,
+    ScalarField,
     SymTensorField,
     VectorField,
     active_transform,
@@ -31,6 +34,7 @@ from laue_lab.quadrature import (
     LAUE_NAMES,
     TILE,
     HyperplanePatch,
+    _thread_count,
     flux_charge,
     flux_charge_normal_form,
     four_momentum,
@@ -472,7 +476,20 @@ def test_custom_rule_patch_momentum():
     assert P[0] == pytest.approx(math.pi**1.5 * 0.7**3, rel=1e-7)
 
 
-def test_determinism_across_thread_env(monkeypatch):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """At least two CPUs as seen by the thread clamp, so the pool runs on any host."""
+    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "cpu_count", lambda: max(2, cpus))
+
+
+def test_thread_count_is_clamped(monkeypatch):
+    for raw, want in [("1000000", os.cpu_count() or 1), ("0", 1), ("-3", 1), ("two", 1)]:
+        monkeypatch.setenv("LAUE_LAB_THREADS", raw)
+        assert _thread_count() == want
+
+
+def test_determinism_across_thread_env(monkeypatch, two_cpus):
     on_main = []
 
     def f(points):
@@ -530,7 +547,7 @@ def two_tile_patch():
     return transform_patch(g, HyperplanePatch.time_slice(SIG, half_widths=2.0, grid=(48,)))
 
 
-def test_patch_moments_bitwise_across_threads_and_whole_array(monkeypatch):
+def test_patch_moments_bitwise_across_threads_and_whole_array(monkeypatch, two_cpus):
     dust = make_static_dust(1.0, 0.7)
     on_main = []
 
@@ -563,6 +580,28 @@ def test_patch_moments_bitwise_across_threads_and_whole_array(monkeypatch):
     assert patch_moments(T, patch)[1] is None
 
 
+def test_transformed_moments_bitwise_across_threads(monkeypatch, two_cpus):
+    dust = make_static_dust(1.0, 0.7)
+    seen = []
+
+    def T(points):
+        seen.append(threading.current_thread())
+        return dust(points)
+
+    g = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translation([0.2, -0.1, 0.3, 0.5])))
+    T_g = active_transform(g, SymTensorField(T))
+    image = transform_patch(g, two_tile_patch())
+    origin = np.array([0.1, -0.3, 0.2, 0.4])
+    monkeypatch.setenv("LAUE_LAB_THREADS", "1")
+    M0_1, M1_1 = patch_moments(T_g, image, origin)
+    monkeypatch.setenv("LAUE_LAB_THREADS", "2")
+    M0_2, M1_2 = patch_moments(T_g, image, origin)
+    main = threading.main_thread()
+    assert [t is main for t in seen] == [True, True, False, False]  # pooled under 2
+    assert all(t.is_alive() for t in seen[2:])  # the pool outlives the call
+    assert np.array_equal(M0_1, M0_2) and np.array_equal(M1_1, M1_2)
+
+
 def nan_at_one_node():
     """Static dust with a NaN sample at one node in the second tile."""
     patch = HyperplanePatch.time_slice(SIG, half_widths=2.0, grid=(48,))
@@ -586,9 +625,10 @@ def nan_at_one_node():
         lambda T, patch: tolman_weak_ep(T, -1.0, patch),
         lambda T, patch: integrate_form(FormField(4, 3, lambda p: T(p)[..., 0, :]), patch),
         lambda T, patch: integrate_scalar_density(lambda p: T(p)[..., 0, 0], patch),
+        lambda T, patch: gauss_residual(T, ScalarField(lambda p: np.sin(p[..., 1])), patch),
     ],
     ids=["four_momentum", "laue_integrals", "momentum_map", "tolman_weak_ep",
-         "integrate_form", "integrate_scalar_density"],
+         "integrate_form", "integrate_scalar_density", "gauss_residual"],
 )
 def test_non_finite_sample_raises_everywhere(integral):
     T, patch = nan_at_one_node()
