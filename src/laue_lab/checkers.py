@@ -41,7 +41,6 @@ from .quadrature import (
     integrate_form,
     integrate_scalar_density,
     momentum_map,
-    pairwise_sum,
     patch_moments,
     stress_integrals,
     transform_patch,
@@ -280,14 +279,14 @@ def gauss_residual(
     """
     if patch.rule_nodes is not None:
         raise ValueError("the boundary quadrature needs the default box rule")
-    n = patch.sig.n
+    n_t = patch.sig.n - 1
 
-    def interior(Tv, pts, w):  # rows mu of w T^{mu k} d_k phi over the slice axes
-        return np.einsum("mak,mk->am", Tv[:, :, 1:], phi.gradient(pts, h)[:, 1:]) * w
+    def integral(rule_patch, factor, integrand):  # rows mu; non-finite samples raise
+        return _reduce_patch(integrand, rule_patch, factor, lambda v, pts, w: v.T * w)
 
-    lhs = _reduce_patch(T, patch, _measure_factor(patch), interior)
-    rhs = np.zeros(n)
-    n_t = n - 1
+    lhs = integral(patch, _measure_factor(patch), lambda p: np.einsum(
+        "...ak,...k->...a", T(p)[..., :, 1:], phi.gradient(p, h)[..., 1:]))
+    rhs = 0.0
     for axis in range(n_t):
         others = [i for i in range(n_t) if i != axis]
         spans = [np.linspace(-patch.half_widths[i], patch.half_widths[i],
@@ -301,11 +300,8 @@ def gauss_residual(
         for sign in (+1.0, -1.0):
             fn = face_nodes.copy()
             fn[:, axis] = sign * patch.half_widths[axis]
-            fpts = patch.points(fn)
-            Tf = evaluate_tiled(T, fpts)
-            phif = evaluate_tiled(phi, fpts)
-            for mu in range(n):
-                rhs[mu] += sign * pairwise_sum(Tf[:, mu, 1 + axis] * phif) * area
+            face = patch.with_rule(fn, np.full(len(fn), area))
+            rhs = rhs + integral(face, sign, lambda p: T(p)[..., :, 1 + axis] * phi(p)[..., None])
     return float(np.max(np.abs(lhs - rhs)))
 
 

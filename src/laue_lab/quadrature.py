@@ -13,7 +13,6 @@ and thread counts (``LAUE_LAB_THREADS`` caps the evaluation pool).
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -95,18 +94,13 @@ def _thread_count() -> int:
         return 1
 
 
-@functools.lru_cache(maxsize=None)  # one pool per clamped size, so at most cpu_count
-def _executor(workers: int) -> ThreadPoolExecutor:
-    """The process's evaluation pool of ``workers`` threads, built on first use."""
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="laue-lab")
-
-
 def _map_tiles(work: Callable, m: int) -> list:
     """``work(lo, hi)`` on the tiles of range(m), pooled; results in tile order."""
     bounds = [(lo, min(lo + TILE, m)) for lo in range(0, m, TILE)]
     workers = _thread_count()
     if workers > 1 and len(bounds) > 1:
-        return list(_executor(workers).map(lambda b: work(*b), bounds))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda b: work(*b), bounds))
     return [work(lo, hi) for lo, hi in bounds]
 
 
@@ -225,13 +219,12 @@ class HyperplanePatch:
         return nodes, weights
 
     def points(self, nodes=None) -> np.ndarray:
-        """origin + sum_k nodes[:, k] frame[k], summed row by row without BLAS
-        (exact for coordinate frames, and single-threaded)."""
+        """origin + sum_k nodes[:, k] frame[k], per node without BLAS
+        (exact for coordinate frames)."""
         if nodes is None:
             nodes, _ = self.nodes_weights()
-        pts = np.repeat(self.origin[None, :], len(nodes), axis=0)
-        for k, row in enumerate(self.tangent_frame):
-            pts += nodes[:, k, None] * row
+        pts = _matvec(nodes, self.tangent_frame.T)
+        pts += self.origin  # in place: a second (m, n) array raised peak RSS
         return pts
 
     def frame_phase(self) -> float:

@@ -37,7 +37,7 @@ from laue_lab.poincare import (
     translation,
     wedge_vectors,
 )
-from laue_lab.quadrature import map_rule_affine
+from laue_lab.quadrature import HyperplanePatch, map_rule_affine, transform_patch
 
 from conftest import constant_field, make_spatial_bump
 
@@ -378,6 +378,9 @@ def test_per_node_maps_match_matrix_product_formulas(seed):
     mapped, w = map_rule_affine(nodes, weights, S, shift)
     assert_rel_close(mapped, (nodes - shift) @ np.linalg.inv(S).T)
     assert np.array_equal(w, weights * abs(np.linalg.det(np.linalg.inv(S))))
+    patch = transform_patch(g, HyperplanePatch.time_slice(SIG, grid=(5,)))
+    nodes, _ = patch.nodes_weights()
+    assert_rel_close(patch.points(nodes), patch.origin + nodes @ patch.tangent_frame)
 
 
 # --- analytic boost law ---

@@ -598,7 +598,6 @@ def test_transformed_moments_bitwise_across_threads(monkeypatch, two_cpus):
     M0_2, M1_2 = patch_moments(T_g, image, origin)
     main = threading.main_thread()
     assert [t is main for t in seen] == [True, True, False, False]  # pooled under 2
-    assert all(t.is_alive() for t in seen[2:])  # the pool outlives the call
     assert np.array_equal(M0_1, M0_2) and np.array_equal(M1_1, M1_2)
 
 
@@ -634,3 +633,20 @@ def test_non_finite_sample_raises_everywhere(integral):
     T, patch = nan_at_one_node()
     with pytest.raises(FloatingPointError, match="non-finite sample"):
         integral(T, patch)
+
+
+@pytest.mark.parametrize("where", ["T", "phi"])
+def test_gauss_residual_non_finite_face_sample_raises(where):
+    # the NaN sits on the face x^1 = +half_width, which only the boundary sums sample
+    patch = HyperplanePatch.time_slice(SIG, half_widths=1.0, grid=(12,))
+    dust = make_static_dust(1.0, 0.4)
+
+    def on_face(values, points):
+        values = np.array(values, float)
+        values[points[..., 1] == 1.0] = np.nan
+        return values
+
+    T = SymTensorField(lambda p: on_face(dust(p), p) if where == "T" else dust(p))
+    phi = ScalarField(lambda p: on_face(np.cos(p[..., 2]), p) if where == "phi" else np.cos(p[..., 2]))
+    with pytest.raises(FloatingPointError, match="non-finite sample"):
+        gauss_residual(T, phi, patch)
