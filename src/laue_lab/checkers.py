@@ -22,8 +22,10 @@ from .fields import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _central,
     active_transform,
     boost_emt_analytic,
+    dual_form,
     exterior_derivative,
     lie_derivative,
     stationarity_residual,
@@ -35,6 +37,7 @@ from .quadrature import (
     IntegralRecord,
     _measure_factor,
     _reduce_patch,
+    box_rule,
     evaluate_tiled,
     flux_charge,
     four_momentum,
@@ -289,18 +292,12 @@ def gauss_residual(
     rhs = 0.0
     for axis in range(n_t):
         others = [i for i in range(n_t) if i != axis]
-        spans = [np.linspace(-patch.half_widths[i], patch.half_widths[i],
-                             patch.grid[i], endpoint=False)
-                 + patch.half_widths[i] / patch.grid[i] for i in others]
-        mesh = np.meshgrid(*spans, indexing="ij")
-        face_nodes = np.zeros((mesh[0].size, n_t))
-        for k, i in enumerate(others):
-            face_nodes[:, i] = mesh[k].ravel()
-        area = np.prod([2.0 * patch.half_widths[i] / patch.grid[i] for i in others])
+        face_nodes, face_weights = box_rule(
+            patch.half_widths[others], [patch.grid[i] for i in others]
+        )
         for sign in (+1.0, -1.0):
-            fn = face_nodes.copy()
-            fn[:, axis] = sign * patch.half_widths[axis]
-            face = patch.with_rule(fn, np.full(len(fn), area))
+            fn = np.insert(face_nodes, axis, sign * patch.half_widths[axis], axis=1)
+            face = patch.with_rule(fn, face_weights)
             rhs = rhs + integral(face, sign, lambda p: T(p)[..., :, 1 + axis] * phi(p)[..., None])
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -343,17 +340,8 @@ def geometric_laue_residuals(
     idx = np.linspace(0, nodes.shape[0] - 1, 64).astype(int)
     pts_probe = patch.points(nodes[idx])
 
-    def dual_of(V: VectorField):
-        def func(points):
-            points = np.asarray(points, float)
-            gv, ginv, eps = g.metric_dual(points)
-            v_low = np.einsum("...ab,...b->...a", gv, V(points))
-            return hodge_comps(v_low, n, 1, ginv, eps)
-
-        return FormField(n, n - 1, func)
-
-    calJ = dual_of(J)
-    calU = dual_of(U)
+    calJ = dual_form(J, g)
+    calU = dual_form(U, g)
 
     # preconditions, reported rather than assumed
     div_res = float(np.max(np.abs(vector_divergence(J, g, h)(pts_probe))))
@@ -526,13 +514,7 @@ def vector_divergence(J: VectorField, g: MetricField, h: float = DEFAULT_H) -> S
         points = np.asarray(points, float)
         total = np.zeros(points.shape[:-1])
         for d in range(n):
-            plus = points.copy()
-            plus[..., d] += h
-            minus = points.copy()
-            minus[..., d] -= h
-            total += (
-                g.eps_top(plus) * J(plus)[..., d] - g.eps_top(minus) * J(minus)[..., d]
-            ) / (2 * h)
+            total += _central(lambda p: g.eps_top(p) * J(p)[..., d], points, d, h)
         return total / g.eps_top(points)
 
     return ScalarField(func)

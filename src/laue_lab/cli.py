@@ -426,7 +426,7 @@ def run_identities_suite(seed: int, h: float = 1e-3, strict: bool = False):
     return records, ok
 
 
-def run_geometric_suite(seed: int, h: float = 1e-3, strict: bool = False):
+def run_geometric_suite(seed: int, h: float = 1e-3):
     from .checkers import exact_current_factory, geometric_laue_residuals, vector_divergence
     from .fields import FormField, MetricField, ScalarField, VectorField
     from .quadrature import HyperplanePatch
@@ -506,7 +506,7 @@ def run_geometric_suite(seed: int, h: float = 1e-3, strict: bool = False):
     return records, ok
 
 
-def run_conservation_suite(seed: int, h: float = 1e-3, strict: bool = False):
+def run_conservation_suite(seed: int, h: float = 1e-3):
     from .checkers import conservation_check, divergence_volume_integral
     from .fields import MetricField, VectorField
     from .quadrature import HyperplanePatch
@@ -682,13 +682,9 @@ def main(argv=None) -> int:
                     args.seed, args.fd_h or 1e-3, args.strict
                 )
             elif args.suite == "geometric":
-                records, ok = run_geometric_suite(
-                    args.seed, args.fd_h or 1e-3, args.strict
-                )
+                records, ok = run_geometric_suite(args.seed, args.fd_h or 1e-3)
             else:
-                records, ok = run_conservation_suite(
-                    args.seed, args.fd_h or 1e-3, args.strict
-                )
+                records, ok = run_conservation_suite(args.seed, args.fd_h or 1e-3)
         elif args.command == "laue":
             records, ok = run_laue_command(args, cfg)
         elif args.command == "scenario":

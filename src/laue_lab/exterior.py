@@ -37,20 +37,16 @@ __all__ = [
     "multi_index_rank",
     "perm_sign",
     "alt",
-    "tensor_product",
     "wedge",
     "inner_norm",
     "musical",
-    "musical_inv",
     "hodge",
     "insert",
     "volume_form",
-    "render",
     "minor_det",
     "raise_comps",
     "hodge_comps",
     "insert_comps",
-    "inner_norm_comps",
     "wedge_comps",
 ]
 
@@ -225,11 +221,6 @@ def alt(t: np.ndarray) -> np.ndarray:
     return out / math.factorial(p)
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain tensor product of dense covariant tensors."""
-    return np.tensordot(np.asarray(a, float), np.asarray(b, float), axes=0)
-
-
 @lru_cache(maxsize=None)
 def _wedge_table(n: int, p: int, q: int) -> tuple:
     """(out_rank, a_rank, b_rank, sign) entries of the signed shuffle sum."""
@@ -280,15 +271,10 @@ def inner_norm(a: PForm, b: PForm, sig: Signature) -> float:
 
 
 def musical(v: Vector, sig: Signature) -> Covector:
-    """Index lowering, (v_flat)_a = g_ab v^b."""
+    """Index lowering, (v_flat)_a = g_ab v^b; on a +-1 diagonal it is also
+    index raising, its own inverse."""
     v = np.asarray(v, dtype=float)
     return v * np.asarray(sig.diag, dtype=float)
-
-
-def musical_inv(a: Covector, sig: Signature) -> Vector:
-    """Index raising, (a_sharp)^a = g^ab a_b; inverse of :func:`musical`."""
-    a = np.asarray(a, dtype=float)
-    return a * np.asarray(sig.diag, dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -347,20 +333,6 @@ def volume_form(n: int) -> PForm:
     return PForm(n, n, np.array([1.0]))
 
 
-def render(a: PForm, symbol: str = "θ") -> str:
-    """Debug rendering such as '+1.0 θ0^θ3 -2.0 θ1^θ2'."""
-    if a.p == 0:
-        return f"{a.comps[0]:+g}"
-    parts = []
-    for k, idx in enumerate(multi_indices(a.n, a.p)):
-        c = a.comps[k]
-        if c == 0.0:
-            continue
-        basis = "^".join(f"{symbol}{i}" for i in idx)
-        parts.append(f"{c:+g} {basis}")
-    return " ".join(parts) if parts else "0"
-
-
 # ---------------------------------------------------------------------------
 # Batched component-level variants for a general (possibly point-dependent)
 # nondegenerate symmetric metric.  ``comps`` has shape (..., C(n, p)); the
@@ -396,11 +368,6 @@ def raise_comps(comps: np.ndarray, n: int, p: int, ginv: np.ndarray) -> np.ndarr
         for j, J in enumerate(idxs):
             out[..., i] += minor_det(ginv, A, J) * comps[..., j]
     return out
-
-
-def inner_norm_comps(a, b, n: int, p: int, ginv: np.ndarray) -> np.ndarray:
-    """Batched renormalised inner product of p-form components."""
-    return np.sum(np.asarray(a, float) * raise_comps(b, n, p, ginv), axis=-1)
 
 
 def hodge_comps(

@@ -45,6 +45,7 @@ __all__ = [
     "boost_emt_analytic",
     "emt_to_form",
     "contract_coform",
+    "dual_form",
     "current_from_killing",
     "identity_residuals",
     "stationarity_residual",
@@ -69,10 +70,9 @@ class ScalarField:
         points = np.asarray(points, float)
         if self.grad is not None:
             return np.asarray(self.grad(points), float)
-        n = points.shape[-1]
-        return np.stack(
-            [fd_partial(self, d, h)(points) for d in range(n)], axis=-1
-        )
+        if h <= 0:
+            raise ValueError("step must be positive")
+        return _fd_stack(self, points, h, -1)
 
 
 @dataclass
@@ -182,14 +182,15 @@ def _shift(points, direction, h):
     return out
 
 
+def _central(f, points, d: int, h: float):
+    """The one central-difference stencil (f(x + h e_d) - f(x - h e_d)) / 2h."""
+    return (f(_shift(points, d, h)) - f(_shift(points, d, -h))) / (2 * h)
+
+
 def _fd_stack(f, points, h: float, axis: int):
-    """Central differences (f(x + h e_d) - f(x - h e_d)) / 2h along every
-    chart axis d, stacked at ``axis``."""
+    """:func:`_central` along every chart axis d, stacked at ``axis``."""
     n = points.shape[-1]
-    return np.stack(
-        [(f(_shift(points, d, h)) - f(_shift(points, d, -h))) / (2 * h) for d in range(n)],
-        axis=axis,
-    )
+    return np.stack([_central(f, points, d, h) for d in range(n)], axis=axis)
 
 
 def fd_partial(f, direction: int, h: float = DEFAULT_H):
@@ -201,9 +202,7 @@ def fd_partial(f, direction: int, h: float = DEFAULT_H):
         raise ValueError("step must be positive")
 
     def func(points):
-        return (f(_shift(points, direction, h)) - f(_shift(points, direction, -h))) / (
-            2.0 * h
-        )
+        return _central(f, points, direction, h)
 
     if isinstance(f, ScalarField):
         return ScalarField(func)
@@ -486,9 +485,21 @@ def contract_coform(calT: CoFormField, K: VectorField) -> FormField:
     return FormField(n, n - 1, func)
 
 
+def dual_form(V: VectorField, g: MetricField) -> FormField:
+    """The (n-1)-form star(V_flat): V lowered by g, then Hodge-dualised."""
+    n = g.n
+
+    def func(points):
+        points = np.asarray(points, float)
+        gv, ginv, eps = g.metric_dual(points)
+        v_low = np.einsum("...ab,...b->...a", gv, V(points))
+        return hodge_comps(v_low, n, 1, ginv, eps)
+
+    return FormField(n, n - 1, func)
+
+
 def current_from_killing(T: SymTensorField, K: VectorField, g: MetricField):
     """Current J^b = K_a T^{ab} and its dual (n-1)-form star(J_flat)."""
-    n = g.n
 
     def j_func(points):
         points = np.asarray(points, float)
@@ -496,14 +507,7 @@ def current_from_killing(T: SymTensorField, K: VectorField, g: MetricField):
         return np.einsum("...ac,...c,...ab->...b", gv, K(points), T(points))
 
     J = VectorField(j_func, stationary=T.stationary and K.stationary)
-
-    def form_func(points):
-        points = np.asarray(points, float)
-        gv, ginv, eps = g.metric_dual(points)
-        j_low = np.einsum("...ab,...b->...a", gv, J(points))
-        return hodge_comps(j_low, n, 1, ginv, eps)
-
-    return J, FormField(n, n - 1, form_func)
+    return J, dual_form(J, g)
 
 
 def identity_residuals(
@@ -570,8 +574,7 @@ def identity_residuals(
 def stationarity_residual(field, h: float = DEFAULT_H, samples=None) -> float:
     """Max |central time derivative| over the samples."""
     points = np.asarray(samples, float)
-    d0 = (field(_shift(points, 0, h)) - field(_shift(points, 0, -h))) / (2 * h)
-    return float(np.max(np.abs(d0)))
+    return float(np.max(np.abs(_central(field, points, 0, h))))
 
 
 def symmetry_residual(T: SymTensorField, samples) -> float:

@@ -27,13 +27,11 @@ __all__ = [
     "identity",
     "compose",
     "invert",
-    "linear_part",
     "is_isometry",
     "standard_boost",
     "rotation",
     "translation",
     "chart_transition",
-    "active_in_chart",
     "wedge_vectors",
     "bivector_to_matrix",
     "matrix_to_bivector",
@@ -157,10 +155,6 @@ def invert(g: PoincareElement) -> PoincareElement:
     return PoincareElement(-Ainv @ g.a, Ainv)
 
 
-def linear_part(g: PoincareElement) -> np.ndarray:
-    return g.A
-
-
 def is_isometry(g: PoincareElement, sig: Signature, tol: float = 1e-10) -> bool:
     """True iff the linear part preserves the inner product, A^T eta A = eta."""
     eta = sig.matrix
@@ -200,11 +194,6 @@ def translation(a: np.ndarray) -> PoincareElement:
 def chart_transition(B: AffineChartMap, coords: np.ndarray) -> np.ndarray:
     """Passive re-expression of the same point in another affine chart."""
     return _matvec(np.asarray(coords, dtype=float), B.A) + B.a
-
-
-def active_in_chart(g: PoincareElement, coords: np.ndarray) -> np.ndarray:
-    """Image of a point under the affine automorphism, in one fixed chart."""
-    return g.apply(coords)
 
 
 # --- Lambda^2 V machinery ---
@@ -326,15 +315,32 @@ def fundamental_field(xi: PoinLieElement, origin: np.ndarray, sig: Signature):
     return eval_field
 
 
+def _expm(H: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 26(4), 2005) with a Taylor series for the scaled matrix.
+
+    H is scaled by 2^-s until its 1-norm is at most 1/2; the Taylor tail
+    past degree 16 is then below 0.5^17 / 17! ~ 2e-20, under roundoff.
+    """
+    s = max(0, math.frexp(np.linalg.norm(H, 1))[1] + 1)
+    X = H / 2.0**s
+    term = np.eye(len(H))
+    E = term.copy()
+    for k in range(1, 17):
+        term = term @ X / k
+        E += term
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def poincare_exp(xi: PoinLieElement, sig: Signature) -> PoincareElement:
     """Group element exp(xi) via the (n+1)-dimensional homogeneous matrix."""
-    import scipy.linalg  # deferred: costs most of the package import time
-
     n = xi.n
     H = np.zeros((n + 1, n + 1))
     H[:n, :n] = bivector_to_matrix(xi.M, sig)
     H[:n, n] = xi.P
-    G = scipy.linalg.expm(H)
+    G = _expm(H)
     return PoincareElement(G[:n, n], G[:n, :n])
 
 

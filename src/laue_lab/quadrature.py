@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exterior import Signature, hodge_comps, multi_indices
-from .fields import MetricField, SymTensorField, VectorField
+from .exterior import Signature, multi_indices
+from .fields import MetricField, SymTensorField, VectorField, dual_form
 from .poincare import PoincareElement, PoinLieElement, _matvec, is_isometry, pairing
 
 __all__ = [
@@ -38,11 +38,11 @@ __all__ = [
     "patch_moments",
     "stress_integrals",
     "laue_integrals",
-    "laue_satisfied",
     "LAUE_NAMES",
     "transform_patch",
     "momentum_map",
     "momentum_basis",
+    "box_rule",
     "spherical_rule",
     "map_rule_affine",
     "pairwise_sum",
@@ -112,6 +112,20 @@ def evaluate_tiled(func: Callable, points: np.ndarray) -> np.ndarray:
     return np.concatenate(
         _map_tiles(lambda lo, hi: np.asarray(func(points[lo:hi]), float), points.shape[0])
     )
+
+
+def box_rule(half_widths, grid):
+    """Midpoint rule on the box of the given half widths with ``grid[k]``
+    cells along axis k: nodes (m, len(grid)) in C order, equal weights (m,)."""
+    axes = []
+    cell = 1.0
+    for L, N in zip(half_widths, grid):
+        step = 2.0 * L / N
+        axes.append(-L + (np.arange(N) + 0.5) * step)
+        cell *= step
+    mesh = np.meshgrid(*axes, indexing="ij")
+    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+    return nodes, np.full(nodes.shape[0], cell)
 
 
 @dataclass(frozen=True)
@@ -207,16 +221,7 @@ class HyperplanePatch:
         """Tangent-coordinate nodes and weights of the quadrature rule."""
         if self.rule_nodes is not None:
             return self.rule_nodes, self.rule_weights
-        axes = []
-        cell = 1.0
-        for L, N in zip(self.half_widths, self.grid):
-            step = 2.0 * L / N
-            axes.append(-L + (np.arange(N) + 0.5) * step)
-            cell *= step
-        mesh = np.meshgrid(*axes, indexing="ij")
-        nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-        weights = np.full(nodes.shape[0], cell)
-        return nodes, weights
+        return box_rule(self.half_widths, self.grid)
 
     def points(self, nodes=None) -> np.ndarray:
         """origin + sum_k nodes[:, k] frame[k], per node without BLAS
@@ -334,15 +339,7 @@ def integrate_scalar_density(f, patch: HyperplanePatch, g: Optional[MetricField]
 
 def flux_charge(J: VectorField, patch: HyperplanePatch, g: MetricField) -> float:
     """Charge of J at the patch: integral of the dual (n-1)-form of J_flat."""
-    n = patch.sig.n
-
-    def omega(points):
-        points = np.asarray(points, float)
-        gv, ginv, eps = g.metric_dual(points)
-        j_low = np.einsum("...ab,...b->...a", gv, J(points))
-        return hodge_comps(j_low, n, 1, ginv, eps)
-
-    return integrate_form(omega, patch)
+    return integrate_form(dual_form(J, g), patch)
 
 
 def flux_charge_normal_form(J: VectorField, patch: HyperplanePatch, g: MetricField) -> float:
@@ -412,11 +409,6 @@ def stress_integrals(M0: np.ndarray, patch: HyperplanePatch) -> dict:
 def laue_integrals(T: SymTensorField, patch: HyperplanePatch):
     """The nine time-slice stress integrals of T (see :func:`stress_integrals`)."""
     return stress_integrals(patch_moments(T, patch)[0], patch)
-
-
-def laue_satisfied(stress: dict, tol: float) -> bool:
-    """Verdict flag: all nine stress integrals below the tolerance."""
-    return max(abs(v) for v in stress.values()) < tol
 
 
 def transform_patch(g_elt: PoincareElement, patch: HyperplanePatch) -> HyperplanePatch:

@@ -26,6 +26,7 @@ from .fields import SymTensorField, boost_emt_analytic
 from .poincare import PoincareElement, invert, standard_boost
 from .quadrature import (
     HyperplanePatch,
+    box_rule,
     map_rule_affine,
     spherical_rule,
 )
@@ -124,10 +125,9 @@ class ScenarioSpec:
                 self._radial_segments(scale, outer), n_ang, n_ang
             )
         elif self.kind == "cartesian":
-            grid = (max(2, round(48 * scale)),)
-            nodes_u, weights_u = HyperplanePatch.time_slice(
-                sig, half_widths=self.box_half_widths, grid=grid
-            ).nodes_weights()
+            nodes_u, weights_u = box_rule(
+                self.box_half_widths, (max(2, round(48 * scale)),) * (n - 1)
+            )
         else:
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
         nodes, weights = map_rule_affine(nodes_u, weights_u, S, shift)
@@ -318,6 +318,8 @@ def build(name: str, **params):
         _reject_unknown(name, params)
         if abs(v) >= 1.0:
             raise ValueError("|v| must be < 1")
+        if sigma <= 0:
+            raise ValueError("moving_dust needs positive sigma")
         gamma = 1.0 / math.sqrt(1.0 - v * v)
         u4 = gamma * np.array([1.0, v, 0.0, 0.0])
 

@@ -13,16 +13,12 @@ from laue_lab.exterior import (
     hodge,
     hodge_comps,
     inner_norm,
-    inner_norm_comps,
     insert,
     insert_comps,
     multi_indices,
     musical,
-    musical_inv,
     perm_sign,
     raise_comps,
-    render,
-    tensor_product,
     volume_form,
     wedge,
     wedge_comps,
@@ -239,7 +235,7 @@ def test_musical_lowering_signs():
 def test_musical_round_trip(seed):
     sig = Signature.mostly_minus(4)
     v = np.random.default_rng(seed).standard_normal(4)
-    assert np.allclose(musical_inv(musical(v, sig), sig), v)
+    assert np.allclose(musical(musical(v, sig), sig), v)
 
 
 # --- hodge ---
@@ -422,14 +418,10 @@ def test_batched_hodge_matches_single_on_curved_metric():
 
 
 def test_batched_wedge_insert_inner_match_scalar_paths():
-    sig = Signature.mostly_minus(4)
     a, b = random_form(4, 1), random_form(4, 2)
     v = RNG.standard_normal(4)
     assert np.allclose(wedge_comps(a.comps, 1, b.comps, 2, 4), wedge(a, b).comps)
     assert np.allclose(insert_comps(v, b.comps, 4, 2), insert(v, b).comps)
-    assert inner_norm_comps(b.comps, b.comps, 4, 2, sig.matrix) == pytest.approx(
-        inner_norm(b, b, sig)
-    )
 
 
 # --- misc ---
@@ -439,20 +431,6 @@ def test_perm_sign_basics():
     assert perm_sign((0, 1, 2)) == 1
     assert perm_sign((1, 0, 2)) == -1
     assert perm_sign((1, 1, 2)) == 0
-
-
-def test_tensor_product_shape():
-    a = RNG.standard_normal(4)
-    b = RNG.standard_normal((4, 4))
-    assert tensor_product(a, b).shape == (4, 4, 4)
-
-
-def test_render_output():
-    f = PForm(4, 2, np.zeros(6))
-    assert render(f) == "0"
-    comps = np.zeros(6)
-    comps[list(multi_indices(4, 2)).index((0, 3))] = 1.0
-    assert "θ0^θ3" in render(PForm(4, 2, comps))
 
 
 def test_signature_validation():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ from laue_lab.poincare import (
     AffineChartMap,
     PoincareElement,
     PoinLieElement,
-    active_in_chart,
     ad,
     ad_transpose,
     bivector_to_matrix,
@@ -20,7 +22,6 @@ from laue_lab.poincare import (
     invert,
     is_isometry,
     lie_bracket,
-    linear_part,
     matrix_to_bivector,
     pairing,
     poincare_exp,
@@ -107,13 +108,6 @@ def test_translations_compose_additively():
     assert np.allclose(t.a, a + b) and np.allclose(t.A, np.eye(4))
 
 
-def test_linear_part_is_homomorphism():
-    rng = np.random.default_rng(4)
-    g, h = random_isometry(rng), random_isometry(rng)
-    assert np.allclose(linear_part(compose(g, h)), linear_part(g) @ linear_part(h))
-    assert np.allclose(linear_part(translation(np.ones(4))), np.eye(4))
-
-
 def test_is_isometry():
     assert is_isometry(standard_boost(1, 0.6), SIG, 1e-10)
     scaling = PoincareElement(np.zeros(4), np.diag([2.0, 1.0, 1.0, 1.0]))
@@ -168,7 +162,7 @@ def test_boost_rejects_superluminal():
 
 def test_active_translation_moves_origin():
     a = RNG.standard_normal(4)
-    assert np.allclose(active_in_chart(translation(a), np.zeros(4)), a)
+    assert np.allclose(translation(a).apply(np.zeros(4)), a)
 
 
 def test_chart_transition_round_trip():
@@ -181,7 +175,7 @@ def test_active_boost_of_spatial_point():
     beta = 0.6
     gamma = 1.0 / math.sqrt(1 - beta**2)
     x = np.array([0.0, 2.0, -1.0, 3.0])
-    got = active_in_chart(standard_boost(1, beta), x)
+    got = standard_boost(1, beta).apply(x)
     # oracle: straight matrix application
     assert np.allclose(got, standard_boost(1, beta).A @ x)
     assert np.allclose(got, [gamma * beta * 2.0, gamma * 2.0, -1.0, 3.0])
@@ -441,6 +435,61 @@ def test_exp_boost_generator_reproduces_standard_boost():
     g = poincare_exp(xi, SIG)
     ref = standard_boost(1, beta)
     assert np.allclose(g.A, ref.A, atol=1e-12)
+
+
+def _assert_exp_matches(g, A_ref, a_ref):
+    got = np.column_stack([g.A, g.a])
+    ref = np.column_stack([A_ref, a_ref])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_exp_large_rapidity_boost_closed_form():
+    # rapidity 4 gives a 1-norm of 4, so the series runs on a squared-down matrix
+    phi = 4.0
+    xi = PoinLieElement(np.zeros(4), phi * wedge_vectors(basis_vec(1), basis_vec(0)))
+    A = np.eye(4)
+    A[0, 0] = A[1, 1] = math.cosh(phi)
+    A[0, 1] = A[1, 0] = math.sinh(phi)
+    _assert_exp_matches(poincare_exp(xi, SIG), A, np.zeros(4))
+
+
+def test_exp_null_rotation_closed_form():
+    # N = (e0 + e1) ^ e2 with a null leg has N^3 = 0, so the series terminates:
+    # A = I + N + N^2/2 and a = (I + N/2 + N^2/6) P
+    M = 2.5 * wedge_vectors(basis_vec(0) + basis_vec(1), basis_vec(2))
+    P = np.array([0.3, -0.2, 0.5, 0.1])
+    N = bivector_to_matrix(M, SIG)
+    assert np.max(np.abs(N @ N)) > 1.0 and np.max(np.abs(N @ N @ N)) == 0.0
+    A = np.eye(4) + N + N @ N / 2
+    a = P + N @ P / 2 + N @ N @ P / 6
+    _assert_exp_matches(poincare_exp(PoinLieElement(P, M), SIG), A, a)
+
+
+def test_exp_screw_motion_closed_form():
+    # a rotation in the (1, 2) plane and a translation along its axis commute
+    theta, d = 2.0, 0.7
+    xi = PoinLieElement(d * basis_vec(3), theta * wedge_vectors(basis_vec(1), basis_vec(2)))
+    _assert_exp_matches(poincare_exp(xi, SIG), rotation(1, 2, theta).A, d * basis_vec(3))
+
+
+def test_exp_does_not_import_scipy():
+    import laue_lab
+
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import laue_lab\n"
+        "xi = laue_lab.PoinLieElement(np.ones(4), np.ones(6))\n"
+        "laue_lab.poincare_exp(xi, laue_lab.Signature.mostly_minus(4))\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(laue_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_rebase_element_consistency():

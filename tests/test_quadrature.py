@@ -300,15 +300,11 @@ def test_four_momentum_equals_row_current_fluxes():
 
 
 def test_laue_integrals_gaussian_dust():
-    from laue_lab.quadrature import laue_satisfied
-
     dust = make_static_dust()
     patch = HyperplanePatch.time_slice(SIG, half_widths=8.0, grid=(48,))
     out = laue_integrals(dust, patch)
     assert set(out) == set(LAUE_NAMES)
     assert max(abs(v) for v in out.values()) < 1e-12
-    assert laue_satisfied(out, 1e-12)
-    assert not laue_satisfied({"T11": 1.0}, 1e-3)
 
 
 def test_laue_integrals_need_time_slice():
