@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exterior import Signature, hodge_comps, insert_comps, wedge_comps
+from .exterior import Signature, insert_comps, wedge_comps
 from .fields import (
     DEFAULT_H,
     FormField,
@@ -397,15 +397,14 @@ def exact_current_factory(lam: FormField, g: MetricField, h: float = DEFAULT_H):
     if lam.p != n - 2:
         raise ValueError(f"potential must have degree {n - 2}")
     calJ = exterior_derivative(lam, h)
-    # invert the dualisation: star on (n-1)-forms composed with star on
-    # 1-forms is the identity times (-1)^{n-1} <eps, eps>
-    sign = (-1.0) ** ((n - 1) + g.sig.n_minus)
+    # undo the insertion calJ = i_J mu_g: component n-1-c of calJ is the one
+    # without theta^c, equal to (-1)^c J^c sqrt|det g|
+    signs = (-1.0) ** np.arange(n)
 
     def j_func(points):
         points = np.asarray(points, float)
-        _, ginv, eps = g.metric_dual(points)
-        j_low = sign * hodge_comps(calJ(points), n, n - 1, ginv, eps)
-        return np.einsum("...ab,...b->...a", ginv, j_low)
+        eps = np.asarray(g.eps_top(points), float)
+        return signs * calJ(points)[..., ::-1] / eps[..., None]
 
     return VectorField(j_func, stationary=lam.stationary), calJ
 

@@ -182,12 +182,16 @@ def _apply_config(args, cfg: dict):
                 f"overrides config value {cfg_val}",
                 file=sys.stderr,
             )
+    for key in ("fd_h", "grid_n"):
+        value = getattr(args, key, None)
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"{flag} must be a finite positive number, got {value}")
     if getattr(args, "beta", None) is None and cfg.get("run.beta"):
         args.beta = [float(b) for b in cfg["run.beta"].split(",")]
-    if getattr(args, "format", None) is None:
-        args.format = "csv"
-    if getattr(args, "seed", None) is None:
-        args.seed = 7
+    for key, default in (("format", "csv"), ("seed", 7), ("fd_h", 1e-3), ("grid_n", 48)):
+        if getattr(args, key, None) is None:
+            setattr(args, key, default)
     return args
 
 
@@ -506,7 +510,7 @@ def run_geometric_suite(seed: int, h: float = 1e-3):
     return records, ok
 
 
-def run_conservation_suite(seed: int, h: float = 1e-3):
+def run_conservation_suite(h: float = 1e-3):
     from .checkers import conservation_check, divergence_volume_integral
     from .fields import MetricField, VectorField
     from .quadrature import HyperplanePatch
@@ -573,7 +577,7 @@ def run_laue_command(args, cfg) -> tuple:
     sig = Signature.mostly_minus(4)
     betas = args.beta or [0.3, 0.6]
     tol = args.tol if args.tol is not None else 1e-3
-    scale = (args.grid_n / 48.0) if args.grid_n else 1.0
+    scale = args.grid_n / 48.0
     if args.check == "classical":
         rep = classical_laue_report(T, spec, betas, sig, rel_tol=tol, scale=scale)
         records = rep.records()
@@ -645,7 +649,7 @@ def run_scenario_command(args, cfg) -> tuple:
     from .scenarios import run_scenario
 
     params = scenario_params_from_config(cfg, args.name)
-    scale = (args.grid_n / 48.0) if args.grid_n else 1.0
+    scale = args.grid_n / 48.0
     result = run_scenario(args.name, params, Signature.mostly_minus(4), scale)
     records = [
         IntegralRecord(f"P{a}", float(result.P[a]), result.grid) for a in range(4)
@@ -678,13 +682,11 @@ def main(argv=None) -> int:
             if runner is not None:
                 records, ok = runner(args.seed)
             elif args.suite == "identities":
-                records, ok = run_identities_suite(
-                    args.seed, args.fd_h or 1e-3, args.strict
-                )
+                records, ok = run_identities_suite(args.seed, args.fd_h, args.strict)
             elif args.suite == "geometric":
-                records, ok = run_geometric_suite(args.seed, args.fd_h or 1e-3)
+                records, ok = run_geometric_suite(args.seed, args.fd_h)
             else:
-                records, ok = run_conservation_suite(args.seed, args.fd_h or 1e-3)
+                records, ok = run_conservation_suite(args.fd_h)
         elif args.command == "laue":
             records, ok = run_laue_command(args, cfg)
         elif args.command == "scenario":

@@ -17,7 +17,6 @@ import numpy as np
 
 from .exterior import (
     Signature,
-    hodge_comps,
     insert_comps,
     minor_det,
     multi_index_rank,
@@ -166,13 +165,6 @@ class MetricField:
     def eps_top(self, points):
         """Volume-form component sqrt|det g| in the working chart (1 when flat)."""
         return 1.0 if self.flat else np.sqrt(np.abs(np.linalg.det(self(points))))
-
-    def metric_dual(self, points):
-        """(g, g^-1, sqrt|det g|) at the points; flat returns the constants."""
-        if self.flat:
-            return self.sig.matrix, self.sig.matrix, 1.0
-        gv = self(points)
-        return gv, np.linalg.inv(gv), np.sqrt(np.abs(np.linalg.det(gv)))
 
 
 def _shift(points, direction, h):
@@ -354,6 +346,25 @@ def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
     raise TypeError(f"no Lie derivative for {type(field)!r}")
 
 
+def _nabla_K(K: VectorField, g: MetricField, points, h: float):
+    """(nabla_a K_b) = d_a(g_bc K^c) - Gamma^c_ab K_c at the points, indices (..., a, b).
+
+    A flat metric has no derivative and no connection, so both are skipped.
+    """
+    gv = g(points)
+    jK = _fd_stack(K, points, h, -1)  # (..., b, a) = d_a K^b
+    gjK = np.einsum("...cb,...ba->...ac", gv, jK)
+    if g.flat:
+        return gjK
+    Kv = K(points)
+    dg = _fd_stack(g, points, h, -3)
+    # d_a K_c = (d_a g_cb) K^b + g_cb d_a K^b
+    dKl = np.einsum("...acb,...b->...ac", dg, Kv) + gjK
+    gamma = christoffels(g, h)(points)
+    Kl = np.einsum("...ab,...b->...a", gv, Kv)
+    return dKl - np.einsum("...cab,...c->...ab", gamma, Kl)
+
+
 def killing_residual(
     K: VectorField, g: MetricField, sample_points, h: float = DEFAULT_H
 ) -> float:
@@ -365,16 +376,7 @@ def killing_residual(
     fields.  The sum is returned.
     """
     points = np.asarray(sample_points, float)
-    gv = g(points)
-    jK = _fd_stack(K, points, h, -1)  # (..., b, a) = d_a K^b
-    dg = _fd_stack(g, points, h, -3)
-    # d_a K_c = (d_a g_cb) K^b + g_cb d_a K^b
-    dKl = np.einsum("...acb,...b->...ac", dg, K(points)) + np.einsum(
-        "...cb,...ba->...ac", gv, jK
-    )
-    gamma = christoffels(g, h)(points)
-    Kl = np.einsum("...ab,...b->...a", gv, K(points))
-    nabla = dKl - np.einsum("...cab,...c->...ab", gamma, Kl)
+    nabla = _nabla_K(K, g, points, h)
     sym = nabla + np.swapaxes(nabla, -1, -2)
     lie = lie_derivative(g, K, h)(points)
     identity_part = float(np.max(np.abs(sym - lie)))
@@ -459,20 +461,27 @@ def boost_emt_analytic(T: SymTensorField, beta: float) -> SymTensorField:
     return SymTensorField(func)
 
 
+def _volume_insert(v, g: MetricField, points):
+    """i_v mu_g, the dual form star(v_flat), for vectors v of shape (..., [rows,] n).
+
+    mu_g = sqrt|det g| theta^0 ^ ... ^ theta^{n-1}, so the metric enters
+    only through its volume factor and is never inverted.
+    """
+    n = g.n
+    out = insert_comps(v, np.ones(v.shape[:-1] + (1,)), n, n)
+    eps = np.asarray(g.eps_top(points), float)
+    return out * eps.reshape(eps.shape + (1,) * (out.ndim - eps.ndim))
+
+
 def emt_to_form(T: SymTensorField, g: MetricField) -> CoFormField:
     """Covector-valued (n-1)-form: first index lowered, second dualised."""
-    n = g.n
 
     def func(points):
         points = np.asarray(points, float)
-        gv, ginv, eps = g.metric_dual(points)
-        T_low = np.einsum("...ac,...cd,...bd->...ab", gv, T(points), gv)
-        rows = [
-            hodge_comps(T_low[..., a, :], n, 1, ginv, eps) for a in range(n)
-        ]
-        return np.stack(rows, axis=-2)
+        T_mixed = np.einsum("...ac,...cb->...ab", g(points), T(points))  # T_a^b
+        return _volume_insert(T_mixed, g, points)
 
-    return CoFormField(n, func)
+    return CoFormField(g.n, func)
 
 
 def contract_coform(calT: CoFormField, K: VectorField) -> FormField:
@@ -486,16 +495,13 @@ def contract_coform(calT: CoFormField, K: VectorField) -> FormField:
 
 
 def dual_form(V: VectorField, g: MetricField) -> FormField:
-    """The (n-1)-form star(V_flat): V lowered by g, then Hodge-dualised."""
-    n = g.n
+    """The (n-1)-form star(V_flat) = i_V mu_g: V inserted into the volume form."""
 
     def func(points):
         points = np.asarray(points, float)
-        gv, ginv, eps = g.metric_dual(points)
-        v_low = np.einsum("...ab,...b->...a", gv, V(points))
-        return hodge_comps(v_low, n, 1, ginv, eps)
+        return _volume_insert(V(points), g, points)
 
-    return FormField(n, n - 1, func)
+    return FormField(g.n, g.n - 1, func)
 
 
 def current_from_killing(T: SymTensorField, K: VectorField, g: MetricField):
@@ -528,7 +534,8 @@ def identity_residuals(
     points = np.asarray(samples, float)
     calT = emt_to_form(T, g)
     divT = divergence(T, g, h)
-    gv, _, eps = g.metric_dual(points)
+    gv = g(points)
+    eps = g.eps_top(points)
     div_low = np.einsum("...ab,...b->...a", gv, divT(points))
 
     gamma = christoffels(g, h)(points) if not g.flat else None
@@ -552,21 +559,8 @@ def identity_residuals(
 
     tk = contract_coform(calT, K)
     lhs = exterior_derivative(tk, h)(points)[..., 0]
-    jK = _fd_stack(K, points, h, -1)  # (..., a, d) = d_d K^a
-    dg = (
-        np.zeros(points.shape[:-1] + (n, n, n))
-        if g.flat
-        else _fd_stack(g, points, h, -3)
-    )
-    Kv = K(points)
-    dKl = np.einsum("...acb,...b->...ac", dg, Kv) + np.einsum(
-        "...cb,...ba->...ac", gv, jK
-    )
-    if gamma is not None:
-        Kl = np.einsum("...ab,...b->...a", gv, Kv)
-        dKl = dKl - np.einsum("...cab,...c->...ab", gamma, Kl)
-    trace_term = np.einsum("...ab,...ab->...", T(points), dKl)
-    rhs = (np.einsum("...a,...a->...", Kv, div_low) + trace_term) * eps
+    trace_term = np.einsum("...ab,...ab->...", T(points), _nabla_K(K, g, points, h))
+    rhs = (np.einsum("...a,...a->...", K(points), div_low) + trace_term) * eps
     r2 = float(np.max(np.abs(lhs - rhs)))
     return r1, r2
 

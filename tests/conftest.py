@@ -15,6 +15,24 @@ def eta4():
     return MetricField.minkowski(4)
 
 
+def make_tilted_metric():
+    """Non-diagonal, point-dependent Lorentzian metric: g_01 = 0.3 sin x2,
+    g_23 = 0.2 cos x1, g_11 = -(1 + 0.1 x3^2), other entries Minkowski."""
+
+    def func(points):
+        points = np.asarray(points, float)
+        out = np.zeros(points.shape[:-1] + (4, 4))
+        out[..., 0, 0] = 1.0
+        out[..., 0, 1] = out[..., 1, 0] = 0.3 * np.sin(points[..., 2])
+        out[..., 1, 1] = -(1.0 + 0.1 * points[..., 3] ** 2)
+        out[..., 2, 2] = -1.0
+        out[..., 2, 3] = out[..., 3, 2] = 0.2 * np.cos(points[..., 1])
+        out[..., 3, 3] = -1.0
+        return out
+
+    return MetricField(Signature.mostly_minus(4), func, flat=False)
+
+
 def make_conserved_blob(rho0=1.0, amp=0.5):
     """Static, smooth, rapidly decaying, analytically conserved T^{ab}.
 

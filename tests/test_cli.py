@@ -12,6 +12,8 @@ from laue_lab.cli import (
     main,
     records_to_csv,
     rng_from_seed,
+    run_conservation_suite,
+    run_geometric_suite,
 )
 from laue_lab.quadrature import IntegralRecord
 
@@ -153,6 +155,45 @@ def test_box_l_config_key_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "verify", "algebra")
     assert code == EXIT_USAGE
     assert "unknown config key 'box_l'" in err
+
+
+@pytest.mark.parametrize("suite", ["identities", "geometric", "conservation"])
+@pytest.mark.parametrize("h", ["0", "-0.001"])
+def test_non_positive_fd_h_is_usage_error(capsys, suite, h):
+    code, out, err = run(capsys, "verify", suite, f"--fd-h={h}")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--fd-h must be" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["scenario", "gaussian_dust"], ["laue", "classical", "--scenario", "gaussian_dust"]]
+)
+@pytest.mark.parametrize("n", ["0", "-48"])
+def test_non_positive_grid_n_is_usage_error(capsys, argv, n):
+    code, out, err = run(capsys, *argv, f"--grid-n={n}")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--grid-n must be" in err
+
+
+def test_non_positive_fd_h_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nfd_h = 0\n")
+    code, _, err = run(capsys, "--config", str(cfg), "verify", "conservation")
+    assert code == EXIT_USAGE
+    assert "--fd-h must be" in err
+
+
+def test_geometric_and_conservation_never_invert_the_metric(monkeypatch):
+    # vector duals are insertions into the volume form, so no dual on
+    # these paths needs a per-point metric inverse
+    def no_inv(a):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inv)
+    assert run_geometric_suite(7)[1]
+    assert run_conservation_suite()[1]
 
 
 def test_determinism_identical_bytes(capsys):

@@ -16,6 +16,7 @@ from laue_lab.fields import (
     contract_coform,
     current_from_killing,
     divergence,
+    dual_form,
     emt_to_form,
     exterior_derivative,
     fd_partial,
@@ -39,7 +40,7 @@ from laue_lab.poincare import (
 )
 from laue_lab.quadrature import HyperplanePatch, map_rule_affine, transform_patch
 
-from conftest import constant_field, make_spatial_bump
+from conftest import constant_field, make_spatial_bump, make_tilted_metric
 
 SIG = Signature.mostly_minus(4)
 RNG = np.random.default_rng(1234)
@@ -464,6 +465,34 @@ def test_contract_coform_matches_current(conserved_blob, eta4):
     J, calJ = current_from_killing(conserved_blob, K, eta4)
     pts = RNG.standard_normal((15, 4))
     assert np.allclose(tk(pts), calJ(pts), atol=1e-12)
+
+
+def test_vector_duals_match_hodge_route_on_nondiagonal_metric(conserved_blob):
+    # star(V_flat) = i_V mu_g: the insertion route against lowering by g,
+    # raising by g^-1 and scaling by sqrt|det g|, inverse and det taken here
+    from laue_lab.checkers import exact_current_factory
+    from laue_lab.exterior import hodge_comps
+
+    g = make_tilted_metric()
+    pts = RNG.uniform(-1.5, 1.5, (25, 4))
+    gv = g(pts)
+    ginv, eps = np.linalg.inv(gv), np.sqrt(np.abs(np.linalg.det(gv)))
+
+    def reference(v):
+        return hodge_comps(np.einsum("...ab,...b->...a", gv, v), 4, 1, ginv, eps)
+
+    V = VectorField(
+        lambda p: np.stack([np.cos(p[..., 0]), p[..., 1], p[..., 2] ** 2, -p[..., 3]], -1)
+    )
+    assert_rel_close(dual_form(V, g)(pts), reference(V(pts)), rtol=1e-13)
+    Tv = conserved_blob(pts)
+    T_mixed = np.einsum("...ac,...cb->...ab", gv, Tv)  # first index lowered
+    ref_rows = np.stack([reference(T_mixed[..., a, :]) for a in range(4)], axis=-2)
+    assert_rel_close(emt_to_form(conserved_blob, g)(pts), ref_rows, rtol=1e-13)
+    lam = FormField(4, 2, lambda p: np.stack(
+        [np.exp(-np.sum(p[..., 1:] ** 2, axis=-1)) * (k + 1) for k in range(6)], -1))
+    J, calJ = exact_current_factory(lam, g)
+    assert_rel_close(dual_form(J, g)(pts), calJ(pts), rtol=1e-13)
 
 
 def test_current_from_killing_dust(static_dust, eta4):

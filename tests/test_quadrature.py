@@ -228,8 +228,9 @@ def test_flat_metric_dual_matches_general_path():
     general = MetricField(SIG, eta_func)
     assert ETA.flat and not general.flat
     pts = RNG.standard_normal((7, 4))
-    _, ginv_flat, eps_flat = ETA.metric_dual(pts)
-    _, ginv_gen, eps_gen = general.metric_dual(pts)
+    ginv_flat, eps_flat = SIG.matrix, ETA.eps_top(pts)
+    gv = general(pts)
+    ginv_gen, eps_gen = np.linalg.inv(gv), np.sqrt(np.abs(np.linalg.det(gv)))
     for p in (1, 3):
         comps = RNG.standard_normal((7, math.comb(4, p)))
         np.testing.assert_allclose(
