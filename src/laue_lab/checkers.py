@@ -37,6 +37,7 @@ from .quadrature import (
     IntegralRecord,
     _measure_factor,
     _reduce_patch,
+    _simpson,
     box_rule,
     evaluate_tiled,
     flux_charge,
@@ -119,47 +120,24 @@ class LaueReport:
         return (self.four_vector_max_rel < self.rel_tol) == self.stress_vanish
 
     def records(self) -> list:
-        rows = []
-        for a in range(4):
-            rows.append(IntegralRecord(f"P{a}", float(self.P[a]), self.grid))
+        grid, tol = self.grid, self.rel_tol
+        rows = [IntegralRecord(f"P{a}", float(self.P[a]), grid) for a in range(4)]
         for name in LAUE_NAMES:
-            rows.append(
-                IntegralRecord(
-                    f"stress_{name}",
-                    float(self.stress[name]),
-                    self.grid,
-                    tolerance=self.rel_tol * abs(self.P0),
-                    verdict="pass" if abs(self.stress[name]) < self.rel_tol * abs(self.P0) else "fail",
-                )
-            )
+            rows.append(IntegralRecord.gated(
+                f"stress_{name}", float(self.stress[name]), tol * abs(self.P0), grid))
         for e in self.entries:
             tag = f"beta={e.beta:g}"
-            for a in range(4):
-                rows.append(IntegralRecord(f"P{a}_direct[{tag}]", float(e.P_direct[a]), self.grid))
-            for a in range(4):
-                rows.append(IntegralRecord(f"P{a}_predicted[{tag}]", float(e.P_predicted[a]), self.grid))
-            for a in range(4):
-                rows.append(IntegralRecord(f"P{a}_alt_prediction[{tag}]", float(e.P_alt_prediction[a]), self.grid))
-            for a in range(4):
-                rows.append(IntegralRecord(f"P{a}_four_vector[{tag}]", float(e.P_four_vector[a]), self.grid))
-            rows.append(
-                IntegralRecord(
-                    f"four_vector_residual[{tag}]",
-                    e.resid_four_vector,
-                    self.grid,
-                    tolerance=self.rel_tol,
-                    verdict="pass" if e.resid_four_vector < self.rel_tol else "fail",
-                )
-            )
-        rows.append(
-            IntegralRecord(
-                "verdict_four_vector",
-                1.0 if self.four_vector else 0.0,
-                self.grid,
-                tolerance=self.rel_tol,
-                verdict="pass" if self.four_vector else "fail",
-            )
-        )
+            for label, P in (
+                ("direct", e.P_direct),
+                ("predicted", e.P_predicted),
+                ("alt_prediction", e.P_alt_prediction),
+                ("four_vector", e.P_four_vector),
+            ):
+                rows += [IntegralRecord(f"P{a}_{label}[{tag}]", float(P[a]), grid) for a in range(4)]
+            rows.append(IntegralRecord.gated(
+                f"four_vector_residual[{tag}]", e.resid_four_vector, tol, grid))
+        rows.append(IntegralRecord.gated(
+            "verdict_four_vector", float(self.four_vector), tol, grid, passed=self.four_vector))
         return rows
 
 
@@ -530,13 +508,9 @@ def divergence_volume_integral(
 ) -> float:
     """Simpson-in-time integral of the slice integrals of div J between two
     instants; compares against the charge difference in source tests."""
-    if n_t % 2:
-        raise ValueError("Simpson needs an even interval count")
+    coeff = _simpson(n_t)
     div = vector_divergence(J, g, h)
     ts = np.linspace(t0, t1, n_t + 1)
-    coeff = np.ones(n_t + 1)
-    coeff[1:-1:2] = 4.0
-    coeff[2:-1:2] = 2.0
     dt = (t1 - t0) / n_t
     total = 0.0
     for w, t in zip(coeff, ts):

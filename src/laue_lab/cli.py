@@ -105,6 +105,33 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+# name -> (argparse keywords, [run] key parser or None, default).  Every
+# check reads COMMON; CHECKS (below the runners) names what else it reads,
+# and its parser accepts only those flags.
+COMMON = ("seed", "format", "out")
+OPTIONS = {
+    "seed": (dict(type=int, help="RNG seed (Philox)"), int, 7),
+    "format": (dict(choices=FORMATS), str, "csv"),
+    "out": (dict(help="output path (default stdout)"), str, None),
+    "tol": (dict(type=float, help="tolerance override"), float, 1e-3),
+    "grid_n": (dict(type=int, help="grid scale anchor N"), int, 48),
+    "fd_h": (dict(type=float, help="fd step"), float, 1e-3),
+    "strict": (
+        dict(action="store_true",
+             help="re-run refinable checks at doubled resolution and require a ~4x drop"),
+        None,
+        False,
+    ),
+    "scenario": (dict(help="scenario name"), str, "gaussian_dust"),
+    "beta": (
+        dict(type=float, action="append", help="repeatable"),
+        lambda text: [float(b) for b in text.split(",")],
+        (0.3, 0.6),
+    ),
+}
+RUN_KEYS = [key for key, (_, parse, _) in OPTIONS.items() if parse]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="laue-lab",
@@ -113,85 +140,70 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="INI config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (Philox)")
-    common.add_argument("--format", choices=FORMATS, default=None)
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--grid-n", type=int, default=None, help="grid scale anchor N")
-    common.add_argument("--fd-h", type=float, default=None, help="fd step")
-    common.add_argument(
-        "--strict", action="store_true",
-        help="re-run refinable checks at doubled resolution and require a ~4x drop",
-    )
-
-    verify = sub.add_parser("verify", parents=[common], help="run a property suite")
-    verify.add_argument(
-        "suite",
-        choices=["algebra", "poincare", "identities", "geometric", "conservation"],
-    )
-
-    laue = sub.add_parser("laue", parents=[common], help="boost/covariance reports")
-    laue.add_argument("check", choices=["classical", "fake", "equivariance"])
-    laue.add_argument("--scenario", default="gaussian_dust")
-    laue.add_argument(
-        "--beta", type=float, action="append", default=None, help="repeatable"
-    )
-
-    scen = sub.add_parser("scenario", parents=[common], help="scenario numbers")
-    scen.add_argument("name")
+    groups = {
+        command: sub.add_parser(command, help=text).add_subparsers(dest="check", required=True)
+        for command, text in (
+            ("verify", "run a property suite"),
+            ("laue", "boost/covariance reports"),
+        )
+    }
+    for (command, check), (flags, _) in CHECKS.items():
+        if check is None:
+            leaf = sub.add_parser(command, help="scenario numbers")
+            leaf.add_argument("name")
+            leaf.set_defaults(check=None)
+        else:
+            leaf = groups[command].add_parser(check)
+        for flag in COMMON + flags:
+            leaf.add_argument("--" + flag.replace("_", "-"), **OPTIONS[flag][0])
     return parser
 
 
 def load_config(path: str) -> dict:
     cp = configparser.ConfigParser()
+    cp.optionxform = str  # scenario parameters are case-sensitive (coulomb_shell's R)
     read = cp.read(path)
     if not read:
         raise ValueError(f"cannot read config file {path!r}")
-    known = {"seed", "format", "out", "tol", "grid_n", "fd_h", "scenario", "beta"}
     out = {}
     for section in cp.sections():
         if section != "run" and not section.startswith("scenario."):
             raise ValueError(f"unknown config section [{section}]")
         for key, value in cp.items(section):
-            if section == "run" and key not in known:
+            if section == "run" and key not in RUN_KEYS:
                 raise ValueError(f"unknown config key {key!r} in [run]")
             out[f"{section}.{key}"] = value
     return out
 
 
-def _apply_config(args, cfg: dict):
-    mapping = {
-        "seed": int,
-        "format": str,
-        "out": str,
-        "tol": float,
-        "grid_n": int,
-        "fd_h": float,
-    }
-    for key, conv in mapping.items():
+def _apply_config(args, cfg: dict, flags):
+    reads = COMMON + flags
+    for key in cfg:
+        section, _, name = key.partition(".")
+        if section == "run" and name not in reads:
+            check = " ".join(filter(None, (args.command, args.check)))
+            raise ValueError(f"config key {name!r} in [run] is not read by {check}")
+    for key in reads:
+        _, parse, default = OPTIONS[key]
         cfg_val = cfg.get(f"run.{key}")
-        if cfg_val is None:
-            continue
-        if getattr(args, key, None) is None:
-            setattr(args, key, conv(cfg_val))
-        elif getattr(args, key) != conv(cfg_val):
-            print(
-                f"note: flag --{key.replace('_', '-')}={getattr(args, key)} "
-                f"overrides config value {cfg_val}",
-                file=sys.stderr,
-            )
-    for key in ("fd_h", "grid_n"):
-        value = getattr(args, key, None)
-        if value is not None and not (value > 0 and math.isfinite(value)):
+        if cfg_val is not None:
+            value = parse(cfg_val)
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+            elif getattr(args, key) != value:
+                print(
+                    f"note: flag --{key.replace('_', '-')}={getattr(args, key)} "
+                    f"overrides config value {cfg_val}",
+                    file=sys.stderr,
+                )
+        value = getattr(args, key)
+        if value is None:
+            setattr(args, key, default)
+        elif key in ("fd_h", "grid_n") and not (value > 0 and math.isfinite(value)):
             flag = "--" + key.replace("_", "-")
             raise ValueError(f"{flag} must be a finite positive number, got {value}")
-    if getattr(args, "beta", None) is None and cfg.get("run.beta"):
-        args.beta = [float(b) for b in cfg["run.beta"].split(",")]
-    for key, default in (("format", "csv"), ("seed", 7), ("fd_h", 1e-3), ("grid_n", 48)):
-        if getattr(args, key, None) is None:
-            setattr(args, key, default)
+    if args.format not in FORMATS:
+        raise ValueError(f"unknown format {args.format!r}")
     return args
 
 
@@ -204,7 +216,18 @@ def scenario_params_from_config(cfg: dict, name: str) -> dict:
     return params
 
 
-# --- suite runners; each returns (records, ok) ---
+# --- suite runners; each returns (records, ok), ok read from the records ---
+
+
+def _passed(records) -> bool:
+    return all(r.verdict != "fail" for r in records)
+
+
+def _doubling_ratio(coarse: float, fine: float):
+    """Residual ratio at step 2h over step h, and whether it is the ~4x
+    drop of an h^2-limited residual."""
+    ratio = coarse / fine if fine else float("nan")
+    return ratio, 3.0 < ratio < 5.0
 
 
 def run_algebra_suite(seed: int, n_random: int = 500, tol: float = 1e-12):
@@ -221,7 +244,6 @@ def run_algebra_suite(seed: int, n_random: int = 500, tol: float = 1e-12):
 
     rng = rng_from_seed(seed)
     records = []
-    worst = 0.0
     for n in range(2, 7):
         for convention, sig in (
             ("mostly_minus", Signature.mostly_minus(n)),
@@ -240,18 +262,10 @@ def run_algebra_suite(seed: int, n_random: int = 500, tol: float = 1e-12):
                         lhs = wedge(b, star_a)
                         rhs = inner_norm(b, a, sig) * eps
                         res = max(res, float(np.max(np.abs(lhs.comps - rhs.comps))))
-            records.append(
-                IntegralRecord(f"duality_property[{label}]", res, label, tolerance=tol,
-                               verdict="pass" if res < tol else "fail")
-            )
-            worst = max(worst, res)
+            records.append(IntegralRecord.gated(f"duality_property[{label}]", res, tol, label))
             # volume normalisation
             res = abs(inner_norm(eps, eps, sig) - (-1.0) ** sig.n_minus)
-            records.append(
-                IntegralRecord(f"volume_square[{label}]", res, label, tolerance=tol,
-                               verdict="pass" if res < tol else "fail")
-            )
-            worst = max(worst, res)
+            records.append(IntegralRecord.gated(f"volume_square[{label}]", res, tol, label))
     sig = Signature.mostly_minus(4)
     n = 4
     res_sq = res_adj = res_ins = 0.0
@@ -276,12 +290,9 @@ def run_algebra_suite(seed: int, n_random: int = 500, tol: float = 1e-12):
         ("insertion_identity", res_ins),
     ):
         records.append(
-            IntegralRecord(f"{name}[seed={seed};count={n_random}]", res,
-                           "n=4", tolerance=tol,
-                           verdict="pass" if res < tol else "fail")
+            IntegralRecord.gated(f"{name}[seed={seed};count={n_random}]", res, tol, "n=4")
         )
-        worst = max(worst, res)
-    return records, worst < tol
+    return records, _passed(records)
 
 
 def run_poincare_suite(seed: int, n_random: int = 200, tol: float = 1e-10):
@@ -290,6 +301,7 @@ def run_poincare_suite(seed: int, n_random: int = 200, tol: float = 1e-10):
         PoinLieElement,
         ad,
         ad_transpose,
+        bivector_to_matrix,
         compose,
         coad,
         fundamental_field,
@@ -299,13 +311,11 @@ def run_poincare_suite(seed: int, n_random: int = 200, tol: float = 1e-10):
         rotation,
         standard_boost,
         translation,
-        wedge_vectors,
     )
     from .quadrature import momentum_basis
 
     sig = Signature.mostly_minus(4)
     rng = rng_from_seed(seed)
-    records = []
 
     def rand_iso():
         g = standard_boost(1, float(rng.uniform(-0.8, 0.8)))
@@ -343,8 +353,6 @@ def run_poincare_suite(seed: int, n_random: int = 200, tol: float = 1e-10):
             + lie_bracket(chi, lie_bracket(xi, zeta, sig), sig).components()
         )
         res_jacobi = max(res_jacobi, float(np.max(np.abs(jac))))
-        from .poincare import bivector_to_matrix
-
         EX = bivector_to_matrix(xi.M, sig)
         EZ = bivector_to_matrix(zeta.M, sig)
         pts = rng.standard_normal((4, 4))
@@ -368,16 +376,11 @@ def run_poincare_suite(seed: int, n_random: int = 200, tol: float = 1e-10):
         ("field_antihomomorphism", res_anti, 1e-12),
         ("killing_residual_generators", res_killing, 1e-9),
     ]
-    ok = True
-    records = []
-    for name, res, t in checks:
-        good = res < t
-        ok = ok and good
-        records.append(
-            IntegralRecord(f"{name}[seed={seed};count={n_random}]", res, "n=4",
-                           tolerance=t, verdict="pass" if good else "fail")
-        )
-    return records, ok
+    records = [
+        IntegralRecord.gated(f"{name}[seed={seed};count={n_random}]", res, t, "n=4")
+        for name, res, t in checks
+    ]
+    return records, _passed(records)
 
 
 def run_identities_suite(seed: int, h: float = 1e-3, strict: bool = False):
@@ -411,23 +414,17 @@ def run_identities_suite(seed: int, h: float = 1e-3, strict: bool = False):
     )
     r1, r2 = identity_residuals(T, K, eta, h, pts)
     records = [
-        IntegralRecord("emt_form_derivative_identity", r1, "flat", h=h,
-                       tolerance=1e-12, verdict="pass" if r1 < 1e-12 else "fail"),
-        IntegralRecord("contracted_current_identity", r2, "flat", h=h,
-                       tolerance=1e-6, verdict="pass" if r2 < 1e-6 else "fail"),
+        IntegralRecord.gated("emt_form_derivative_identity", r1, 1e-12, "flat", h=h),
+        IntegralRecord.gated("contracted_current_identity", r2, 1e-6, "flat", h=h),
     ]
-    ok = r1 < 1e-12 and r2 < 1e-6
     if strict:
         _, r2c = identity_residuals(T, K, eta, 2 * h, pts)
-        ratio = r2c / r2 if r2 else float("nan")
-        good = 3.0 < ratio < 5.0
+        ratio, good = _doubling_ratio(r2c, r2)
         records.append(
-            IntegralRecord("contracted_current_refinement", ratio, "flat", h=h,
-                           refinement_ratio=ratio, tolerance=4.0,
-                           verdict="pass" if good else "fail")
+            IntegralRecord.gated("contracted_current_refinement", ratio, 4.0, "flat",
+                                 passed=good, h=h, refinement_ratio=ratio)
         )
-        ok = ok and good
-    return records, ok
+    return records, _passed(records)
 
 
 def run_geometric_suite(seed: int, h: float = 1e-3):
@@ -474,21 +471,14 @@ def run_geometric_suite(seed: int, h: float = 1e-3):
     phi = ScalarField(phi_func, stationary=True)
     patch = HyperplanePatch.time_slice(sig, half_widths=6.0, grid=(48,))
     records = []
-    ok = True
     for g, label in ((eta, "flat"), (curved, "curved")):
         J, calJ = exact_current_factory(lam, g, h=h)
         out = geometric_laue_residuals(J, U, phi, patch, g, h=h)
-        spread = abs(out.rB - out.rC)
-        for name, val, t in (
-            (f"exact_integral[{label}]", out.rA, 1e-6),
-            (f"dual_route_spread[{label}]", spread, 1e-6),
-        ):
-            good = val < t
-            ok = ok and good
-            records.append(
-                IntegralRecord(name, val, f"{label}:N=48", h=h, tolerance=t,
-                               verdict="pass" if good else "fail")
-            )
+        grid, spread = f"{label}:N=48", abs(out.rB - out.rC)
+        records += [
+            IntegralRecord.gated(f"exact_integral[{label}]", out.rA, 1e-6, grid, h=h),
+            IntegralRecord.gated(f"dual_route_spread[{label}]", spread, 1e-6, grid, h=h),
+        ]
     # the h^2-limited channel: closedness of the derived current measured
     # with a mismatched step (same-step evaluation is stencil-exact)
     rng = rng_from_seed(seed)
@@ -499,15 +489,12 @@ def run_geometric_suite(seed: int, h: float = 1e-3):
         res.append(
             float(np.max(np.abs(vector_divergence(J, eta, step / 2)(probe))))
         )
-    ratio = res[0] / res[1] if res[1] else float("nan")
-    good = res[1] < 1e-6 and 3.0 < ratio < 5.0
-    ok = ok and good
+    ratio, good = _doubling_ratio(*res)
     records.append(
-        IntegralRecord("derived_current_divergence", res[1], "probe", h=h,
-                       refinement_ratio=ratio, tolerance=1e-6,
-                       verdict="pass" if good else "fail")
+        IntegralRecord.gated("derived_current_divergence", res[1], 1e-6, "probe",
+                             passed=res[1] < 1e-6 and good, h=h, refinement_ratio=ratio)
     )
-    return records, ok
+    return records, _passed(records)
 
 
 def run_conservation_suite(h: float = 1e-3):
@@ -532,12 +519,11 @@ def run_conservation_suite(h: float = 1e-3):
     p1 = HyperplanePatch.time_slice(sig, t=0.0, half_widths=6.0, grid=(48,))
     p2 = HyperplanePatch.time_slice(sig, t=0.7, half_widths=6.0, grid=(48,))
     out = conservation_check(J, p1, p2, eta)
+    # a current reaching the lateral boundary voids the comparison
     records = [
-        IntegralRecord("charge_difference", out.difference, "N=48",
-                       tolerance=1e-8,
-                       verdict="pass" if out.difference < 1e-8 else "fail")
+        IntegralRecord.gated("charge_difference", out.difference, 1e-8, "N=48",
+                             passed=out.difference < 1e-8 and out.support_ok)
     ]
-    ok = out.difference < 1e-8 and out.support_ok
 
     def sourced(points):
         points = np.asarray(points, float)
@@ -554,13 +540,8 @@ def run_conservation_suite(h: float = 1e-3):
     volume = divergence_volume_integral(Js, p1, t0, t1, eta, n_t=32, h=h)
     signed = res.charge_2 - res.charge_1
     rel = abs(volume - signed) / abs(signed)
-    good = rel < 1e-4
-    ok = ok and good
-    records.append(
-        IntegralRecord("source_volume_match", rel, "N=32", h=h, tolerance=1e-4,
-                       verdict="pass" if good else "fail")
-    )
-    return records, ok
+    records.append(IntegralRecord.gated("source_volume_match", rel, 1e-4, "N=32", h=h))
+    return records, _passed(records)
 
 
 def run_laue_command(args, cfg) -> tuple:
@@ -575,25 +556,18 @@ def run_laue_command(args, cfg) -> tuple:
     params = scenario_params_from_config(cfg, args.scenario)
     T, spec = build(args.scenario, **params)
     sig = Signature.mostly_minus(4)
-    betas = args.beta or [0.3, 0.6]
-    tol = args.tol if args.tol is not None else 1e-3
     scale = args.grid_n / 48.0
     if args.check == "classical":
-        rep = classical_laue_report(T, spec, betas, sig, rel_tol=tol, scale=scale)
+        rep = classical_laue_report(T, spec, args.beta, sig, rel_tol=args.tol, scale=scale)
         records = rep.records()
-        ok = rep.four_vector
         if args.strict:
-            fine = classical_laue_report(T, spec, betas, sig, rel_tol=tol, scale=2 * scale)
+            fine = classical_laue_report(T, spec, args.beta, sig, rel_tol=args.tol, scale=2 * scale)
             records.append(
-                IntegralRecord(
-                    "strict_recheck_four_vector",
-                    fine.four_vector_max_rel,
-                    fine.grid,
-                    tolerance=tol,
-                    verdict="pass" if fine.four_vector == rep.four_vector else "fail",
-                )
+                IntegralRecord.gated("strict_recheck_four_vector", fine.four_vector_max_rel,
+                                     args.tol, fine.grid,
+                                     passed=fine.four_vector == rep.four_vector)
             )
-        return records, ok
+        return records, _passed(records)
     rng = rng_from_seed(args.seed)
     g_list = []
     for i in range(5):
@@ -606,43 +580,24 @@ def run_laue_command(args, cfg) -> tuple:
         )
         g_list.append((f"g{i}", g))
     if args.check == "fake":
-        records = []
-        ok = True
-        for label, g in g_list:
-            res = fake_covariance_check(T, spec, g, sig, scale=scale)
-            good = res < 1e-6
-            ok = ok and good
-            records.append(
-                IntegralRecord(f"fake_covariance[{label}]", res, spec.name,
-                               tolerance=1e-6, verdict="pass" if good else "fail")
-            )
-        return records, ok
-    if args.check == "equivariance":
-        entries = equivariance_report(
-            T, spec, np.zeros(4), g_list, sig, scale=scale,
-            restricted=spec.conserved, outer=3e4 if spec.kind == "radial" else None,
-        )
-        records = []
-        ok = True
-        for e in entries:
-            good = e.full_residual < 1e-2
-            records.append(
-                IntegralRecord(f"equivariance_full[{e.label}]", e.full_residual,
-                               spec.name, tolerance=1e-2,
-                               verdict="pass" if good else "fail")
-            )
-            ok = ok and good
-            if e.restricted_residual is not None:
-                good_r = e.restricted_residual < 1e-2
-                ok = ok and good_r
-                records.append(
-                    IntegralRecord(
-                        f"equivariance_restricted[{e.label}]", e.restricted_residual,
-                        spec.name, tolerance=1e-2,
-                        verdict="pass" if good_r else "fail")
-                )
-        return records, ok
-    raise ValueError(f"unknown check {args.check!r}")
+        records = [
+            IntegralRecord.gated(f"fake_covariance[{label}]",
+                                 fake_covariance_check(T, spec, g, sig, scale=scale),
+                                 1e-6, spec.name)
+            for label, g in g_list
+        ]
+        return records, _passed(records)
+    entries = equivariance_report(
+        T, spec, np.zeros(4), g_list, sig, scale=scale,
+        restricted=spec.conserved, outer=3e4 if spec.kind == "radial" else None,
+    )
+    records = [
+        IntegralRecord.gated(f"equivariance_{kind}[{e.label}]", res, 1e-2, spec.name)
+        for e in entries
+        for kind, res in (("full", e.full_residual), ("restricted", e.restricted_residual))
+        if res is not None
+    ]
+    return records, _passed(records)
 
 
 def run_scenario_command(args, cfg) -> tuple:
@@ -658,7 +613,26 @@ def run_scenario_command(args, cfg) -> tuple:
         records.append(IntegralRecord(f"stress_{name}", float(value), result.grid))
     for name, value in result.extras.items():
         records.append(IntegralRecord(name, float(value), result.grid))
-    return records, True
+    return records, _passed(records)
+
+
+# (command, check) -> (flags and [run] keys read beyond COMMON, runner)
+CHECKS = {
+    ("verify", "algebra"): ((), lambda args, cfg: run_algebra_suite(args.seed)),
+    ("verify", "poincare"): ((), lambda args, cfg: run_poincare_suite(args.seed)),
+    ("verify", "identities"): (
+        ("fd_h", "strict"),
+        lambda args, cfg: run_identities_suite(args.seed, args.fd_h, args.strict),
+    ),
+    ("verify", "geometric"): (
+        ("fd_h",), lambda args, cfg: run_geometric_suite(args.seed, args.fd_h)
+    ),
+    ("verify", "conservation"): (("fd_h",), lambda args, cfg: run_conservation_suite(args.fd_h)),
+    ("laue", "classical"): (("scenario", "beta", "tol", "grid_n", "strict"), run_laue_command),
+    ("laue", "fake"): (("scenario", "grid_n"), run_laue_command),
+    ("laue", "equivariance"): (("scenario", "grid_n"), run_laue_command),
+    ("scenario", None): (("grid_n",), run_scenario_command),
+}
 
 
 def main(argv=None) -> int:
@@ -667,32 +641,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
+    flags, runner = CHECKS[args.command, args.check]
     try:
         cfg = load_config(args.config) if args.config else {}
-        args = _apply_config(args, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command == "verify":
-            runner = {
-                "algebra": run_algebra_suite,
-                "poincare": run_poincare_suite,
-            }.get(args.suite)
-            if runner is not None:
-                records, ok = runner(args.seed)
-            elif args.suite == "identities":
-                records, ok = run_identities_suite(args.seed, args.fd_h, args.strict)
-            elif args.suite == "geometric":
-                records, ok = run_geometric_suite(args.seed, args.fd_h)
-            else:
-                records, ok = run_conservation_suite(args.fd_h)
-        elif args.command == "laue":
-            records, ok = run_laue_command(args, cfg)
-        elif args.command == "scenario":
-            records, ok = run_scenario_command(args, cfg)
-        else:  # pragma: no cover - argparse enforces choices
-            return EXIT_USAGE
+        args = _apply_config(args, cfg, flags)
+        records, ok = runner(args, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

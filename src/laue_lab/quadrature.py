@@ -265,6 +265,13 @@ class IntegralRecord:
     tolerance: float = float("nan")
     verdict: str = ""
 
+    @classmethod
+    def gated(cls, name, value, tol, grid="", passed=None, **meta):
+        """Record judged against ``tol``: it passes when |value| < tol, or
+        when ``passed`` says so for a check that is not a plain bound."""
+        ok = abs(value) < tol if passed is None else passed
+        return cls(name, value, grid, tolerance=tol, verdict="pass" if ok else "fail", **meta)
+
 
 def induced_measure(patch: HyperplanePatch):
     """Measure (n-1)-form +-(insert normal into volume form) on the patch.
@@ -479,6 +486,17 @@ def momentum_map(
 # --- radially adapted rules for 1/r^4 scenario tails ---
 
 
+def _simpson(n: int) -> np.ndarray:
+    """Composite Simpson coefficients 1, 4, 2, ..., 2, 4, 1 over n intervals
+    (times step/3 they are the weights)."""
+    if n % 2 or n < 2:
+        raise ValueError("Simpson needs an even interval count >= 2")
+    coeff = np.ones(n + 1)
+    coeff[1:-1:2] = 4.0
+    coeff[2:-1:2] = 2.0
+    return coeff
+
+
 def spherical_rule(
     segments,
     n_theta: int = 48,
@@ -493,8 +511,7 @@ def spherical_rule(
     """
     r_list, wr_list = [], []
     for r_lo, r_hi, n_r, spacing in segments:
-        if n_r % 2 or n_r < 2:
-            raise ValueError("Simpson needs an even interval count >= 2")
+        coeff = _simpson(n_r)
         if spacing == "log":
             if r_lo <= 0:
                 raise ValueError("log spacing needs r_lo > 0")
@@ -508,9 +525,6 @@ def spherical_rule(
             ds = r[1] - r[0]
         else:
             raise ValueError(f"unknown spacing {spacing!r}")
-        coeff = np.ones(n_r + 1)
-        coeff[1:-1:2] = 4.0
-        coeff[2:-1:2] = 2.0
         wr = coeff * ds / 3.0 * jac * r**2
         r_list.append(r)
         wr_list.append(wr)

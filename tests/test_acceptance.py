@@ -46,7 +46,7 @@ from laue_lab.scenarios import (
     virial_check,
 )
 
-from conftest import constant_field, make_conserved_blob, make_spatial_bump
+from field_builders import constant_field, make_conserved_blob, make_spatial_bump
 
 SIG = Signature.mostly_minus(4)
 ETA = MetricField.minkowski(4)

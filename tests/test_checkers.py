@@ -32,7 +32,7 @@ from laue_lab.poincare import (
 from laue_lab.quadrature import HyperplanePatch, laue_integrals
 from laue_lab.scenarios import build
 
-from conftest import constant_field, make_spatial_bump
+from field_builders import constant_field, make_spatial_bump
 
 SIG = Signature.mostly_minus(4)
 ETA = MetricField.minkowski(4)
@@ -484,6 +484,13 @@ def test_conservation_source_matches_volume_integral():
     signed = out.charge_2 - out.charge_1
     assert volume == pytest.approx(signed, rel=1e-4)
     assert abs(signed) > 1e-2  # the source is really there
+
+
+@pytest.mark.parametrize("n_t", [0, 1, 3, -2])
+def test_divergence_volume_integral_needs_even_interval_count(n_t):
+    p1 = HyperplanePatch.time_slice(SIG, t=0.0, half_widths=1.0, grid=(4,))
+    with pytest.raises(ValueError, match="Simpson"):
+        divergence_volume_integral(static_compact_current(), p1, 0.0, 1.0, ETA, n_t=n_t)
 
 
 def test_conservation_void_when_support_leaks():

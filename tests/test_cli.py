@@ -127,6 +127,17 @@ def test_config_file_roundtrip(tmp_path, capsys):
     assert p0 == pytest.approx(np.pi**1.5 * 0.125, rel=1e-5)
 
 
+def test_config_scenario_parameters_keep_their_case(tmp_path, capsys):
+    def p0(*argv):
+        code, out, _ = run(capsys, *argv, "scenario", "coulomb_shell", "--grid-n", "24")
+        assert code == EXIT_OK
+        return float([l for l in out.splitlines() if l.startswith("P0,")][0].split(",")[2])
+
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[scenario.coulomb_shell]\nR = 2.0\n")
+    assert p0("--config", str(cfg)) == pytest.approx(p0() / 2.0, rel=1e-2)
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nformat = json\n")
@@ -183,6 +194,109 @@ def test_non_positive_fd_h_config_key_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "verify", "conservation")
     assert code == EXIT_USAGE
     assert "--fd-h must be" in err
+
+
+def test_config_scenario_key_is_applied(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nscenario = uniform_field_box\n")
+    code, out, err = run(capsys, "--config", str(cfg), "laue", "fake", "--grid-n", "24")
+    assert code == EXIT_OK
+    assert "uniform_field_box" in out and "gaussian_dust" not in out
+    assert err == ""
+
+
+def test_scenario_flag_overrides_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nscenario = uniform_field_box\n")
+    code, out, err = run(
+        capsys, "--config", str(cfg), "laue", "fake", "--grid-n", "24",
+        "--scenario", "gaussian_dust",
+    )
+    assert code == EXIT_OK
+    assert "gaussian_dust" in out and "uniform_field_box" not in out
+    assert "note: flag --scenario=gaussian_dust overrides config value uniform_field_box" in err
+
+
+def test_failed_strict_recheck_exits_verdict(capsys):
+    # the coarse report passes at this tolerance, the doubled grid does not
+    code, out, _ = run(
+        capsys, "laue", "classical", "--scenario", "gaussian_dust", "--strict", "--tol", "1e-16",
+    )
+    assert code == EXIT_VERDICT
+    (row,) = [l for l in out.splitlines() if l.startswith("strict_recheck_four_vector,")]
+    assert row.endswith(",fail")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["laue", "fake", "--beta", "0.9"],
+        ["laue", "fake", "--tol", "1e-3"],
+        ["laue", "equivariance", "--strict"],
+        ["scenario", "gaussian_dust", "--strict"],
+        ["scenario", "gaussian_dust", "--fd-h", "0.5"],
+        ["scenario", "gaussian_dust", "--scenario", "coulomb_shell"],
+        ["verify", "geometric", "--strict"],
+        ["verify", "algebra", "--tol", "1"],
+        ["verify", "poincare", "--grid-n", "24"],
+        ["verify", "identities", "--tol", "1"],
+        ["verify", "conservation", "--grid-n", "24"],
+    ],
+)
+def test_unread_flag_is_usage_error(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("tol = 1", ["verify", "algebra"]),
+        ("fd_h = 0.01", ["laue", "fake"]),
+        ("beta = 0.3", ["laue", "equivariance"]),
+        ("scenario = coulomb_shell", ["scenario", "gaussian_dust"]),
+    ],
+)
+def test_unread_config_key_is_usage_error(tmp_path, capsys, key, argv):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\n{key}\n")
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "is not read by" in err
+
+
+def test_unknown_config_format_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nformat = xml\n")
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "algebra")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "unknown format 'xml'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "algebra"],
+        ["verify", "poincare"],
+        ["verify", "identities", "--strict"],
+        ["verify", "identities", "--fd-h", "0.1"],
+        ["verify", "identities", "--strict", "--fd-h", "0.3"],
+        ["verify", "conservation"],
+        ["laue", "classical", "--scenario", "coulomb_shell", "--beta", "0.6", "--grid-n", "24"],
+        ["laue", "classical", "--scenario", "completed_shell", "--beta", "0.6", "--grid-n", "24"],
+        ["laue", "classical", "--grid-n", "16", "--strict", "--tol", "1e-16"],
+        ["laue", "fake", "--scenario", "uniform_field_box", "--grid-n", "24"],
+        ["laue", "equivariance", "--grid-n", "24"],
+        ["scenario", "gaussian_dust", "--grid-n", "24"],
+    ],
+)
+def test_exit_code_is_verdict_of_emitted_rows(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    failed = any(row["verdict"] == "fail" for row in json.loads(out))
+    assert code == (EXIT_VERDICT if failed else EXIT_OK)
 
 
 def test_geometric_and_conservation_never_invert_the_metric(monkeypatch):

@@ -40,7 +40,7 @@ from laue_lab.poincare import (
 )
 from laue_lab.quadrature import HyperplanePatch, map_rule_affine, transform_patch
 
-from conftest import constant_field, make_spatial_bump, make_tilted_metric
+from field_builders import constant_field, make_spatial_bump, make_tilted_metric
 
 SIG = Signature.mostly_minus(4)
 RNG = np.random.default_rng(1234)

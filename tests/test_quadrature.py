@@ -51,7 +51,7 @@ from laue_lab.quadrature import (
 )
 from laue_lab.scenarios import tolman_weak_ep
 
-from conftest import make_static_dust
+from field_builders import make_static_dust
 
 SIG = Signature.mostly_minus(4)
 ETA = MetricField.minkowski(4)
@@ -290,7 +290,7 @@ def test_four_momentum_of_zero_tensor():
 
 
 def test_four_momentum_equals_row_current_fluxes():
-    from conftest import make_conserved_blob
+    from field_builders import make_conserved_blob
 
     T = make_conserved_blob()
     patch = HyperplanePatch.time_slice(SIG, half_widths=6.0, grid=(48,))
@@ -382,7 +382,7 @@ def test_momentum_map_centered_dust():
 
 
 def test_momentum_map_translation_sector_matches_four_momentum():
-    from conftest import make_conserved_blob
+    from field_builders import make_conserved_blob
 
     T = make_conserved_blob()
     patch = HyperplanePatch.time_slice(SIG, half_widths=6.0, grid=(32,))
@@ -444,6 +444,20 @@ def test_spherical_rule_angular_second_moment():
     for k in range(3):
         moment = pairwise_sum(nodes[:, k] ** 2 / r2**3 * weights)
         assert moment == pytest.approx(radial / 3.0, rel=1e-3)
+
+
+def test_spherical_rule_radial_weights_are_simpson():
+    nodes, weights = spherical_rule([(1.0, 2.0, 4, "linear")], 1, 1)
+    r = np.linspace(1.0, 2.0, 5)
+    expected = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) * 0.25 / 3.0 * np.ones(5) * r**2
+    assert np.array_equal(weights, expected * (2.0 * (2.0 * math.pi)))
+    assert np.array_equal(np.linalg.norm(nodes, axis=-1), r)
+
+
+@pytest.mark.parametrize("n_r", [0, 3, -2])
+def test_spherical_rule_needs_even_interval_count(n_r):
+    with pytest.raises(ValueError, match="Simpson"):
+        spherical_rule([(1.0, 2.0, n_r, "linear")], 4, 4)
 
 
 def test_map_rule_affine_preserves_integrals():
