@@ -186,7 +186,7 @@ def classical_laue_report(
             f"boost report requires a stationary system; time-derivative "
             f"residual {res:.3e} (flagged stationary={flagged_stationary})"
         )
-    M0, _ = patch_moments(T, patch)
+    M0 = patch_moments(T, patch)
     P = M0 @ (patch.sig.matrix @ patch.normal)
     stress = stress_integrals(M0, patch)
     S11, S12, S13 = stress["T11"], stress["T12"], stress["T13"]

@@ -118,7 +118,8 @@ OPTIONS = {
     "fd_h": (dict(type=float, help="fd step"), float, 1e-3),
     "strict": (
         dict(action="store_true",
-             help="re-run refinable checks at doubled resolution and require a ~4x drop"),
+             help="also re-run the check at doubled resolution and require the refined "
+                  "verdict (identities: a ~4x drop; classical: the same four-vector verdict)"),
         None,
         False,
     ),
@@ -202,6 +203,8 @@ def _apply_config(args, cfg: dict, flags):
         elif key in ("fd_h", "grid_n") and not (value > 0 and math.isfinite(value)):
             flag = "--" + key.replace("_", "-")
             raise ValueError(f"{flag} must be a finite positive number, got {value}")
+        elif key == "beta" and (bad := [b for b in value if not abs(b) < 1]):  # nan, inf too
+            raise ValueError(f"--beta must be finite with |beta| < 1, got {bad[0]}")
     if args.format not in FORMATS:
         raise ValueError(f"unknown format {args.format!r}")
     return args
@@ -649,8 +652,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
-        print(f"numeric fault: {exc}", file=sys.stderr)
+    except (FloatingPointError, np.linalg.LinAlgError, RuntimeError, MemoryError) as exc:
+        print(f"numeric fault: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
     text = emit(records, args.format)
     if args.out:

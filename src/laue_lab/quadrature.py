@@ -364,35 +364,24 @@ def flux_charge_normal_form(J: VectorField, patch: HyperplanePatch, g: MetricFie
     return integrate_scalar_density(f, patch, g)
 
 
-def patch_moments(T: SymTensorField, patch: HyperplanePatch, origin=None):
-    """The weighted moments every global quantity of T on the patch contracts.
-
-    M0^{ab} = sum w T^{ab} and, when an origin is given,
-    M1^{abc} = sum (w T^{ab}) (x - origin)^c, where w is the rule weight
-    times the induced-measure factor; M1 is None without an origin.  The
-    patch is sampled once.
+def patch_moments(T: SymTensorField, patch: HyperplanePatch) -> np.ndarray:
+    """The weighted moment M0^{ab} = sum w T^{ab} that the four-momentum, the
+    stress integrals and the weak-field mass of T on the patch contract,
+    where w is the rule weight times the induced-measure factor.  The patch
+    is sampled once.
     """
     n = patch.sig.n
-    k = n * n
-    if origin is not None:
-        origin = np.asarray(origin, float)
 
     def weighted_rows(Tv, pts, w):
         m = len(pts)
-        rows = np.empty((k if origin is None else k + k * n, m))
-        np.multiply(Tv.reshape(m, k).T, w, out=rows[:k])
-        if origin is not None:  # rows (ab, c) of (w T^{ab}) (x - origin)^c
-            np.multiply(rows[:k, None], (pts - origin).T, out=rows[k:].reshape(k, n, m))
-        return rows
+        return np.multiply(Tv.reshape(m, n * n).T, w, out=np.empty((n * n, m)))
 
-    sums = _reduce_patch(T, patch, _measure_factor(patch), weighted_rows)
-    M1 = None if origin is None else sums[k:].reshape(n, n, n)
-    return sums[:k].reshape(n, n), M1
+    return _reduce_patch(T, patch, _measure_factor(patch), weighted_rows).reshape(n, n)
 
 
 def four_momentum(T: SymTensorField, patch: HyperplanePatch) -> np.ndarray:
     """Row-current fluxes: the integral of T^{a b} n_b over the patch."""
-    return patch_moments(T, patch)[0] @ (patch.sig.matrix @ patch.normal)
+    return patch_moments(T, patch) @ (patch.sig.matrix @ patch.normal)
 
 
 def stress_integrals(M0: np.ndarray, patch: HyperplanePatch) -> dict:
@@ -415,7 +404,7 @@ def stress_integrals(M0: np.ndarray, patch: HyperplanePatch) -> dict:
 
 def laue_integrals(T: SymTensorField, patch: HyperplanePatch):
     """The nine time-slice stress integrals of T (see :func:`stress_integrals`)."""
-    return stress_integrals(patch_moments(T, patch)[0], patch)
+    return stress_integrals(patch_moments(T, patch), patch)
 
 
 def transform_patch(g_elt: PoincareElement, patch: HyperplanePatch) -> HyperplanePatch:
@@ -445,6 +434,26 @@ def momentum_basis(n: int):
     return basis
 
 
+def _flux_moments(T: SymTensorField, patch: HyperplanePatch, n_low, origin: np.ndarray):
+    """F0^a = sum w j^a and F1^{ac} = sum (w j^a) (x - origin)^c of the
+    normal flux j^a = T^{ab} n_b, contracted per node before the reduction
+    (n + n^2 rows instead of the n^2 + n^3 of T and its first moment)."""
+    n = patch.sig.n
+
+    def weighted_rows(Tv, pts, w):
+        m = len(pts)
+        rows = np.empty((n + n * n, m))
+        np.einsum("mab,b->am", Tv, n_low, out=rows[:n])
+        rows[:n] *= w
+        # a contiguous (x - origin)^T: a strided one doubled the F1 product's time
+        x = np.subtract(pts.T, origin[:, None], out=np.empty((n, m)))
+        np.multiply(rows[:n, None], x, out=rows[n:].reshape(n, n, m))
+        return rows
+
+    sums = _reduce_patch(T, patch, _measure_factor(patch), weighted_rows)
+    return sums[:n], sums[n:].reshape(n, n)
+
+
 def momentum_map(
     T: SymTensorField,
     patch: HyperplanePatch,
@@ -465,10 +474,7 @@ def momentum_map(
     n = sig.n
     origin = np.asarray(origin, float)
     eta = sig.matrix
-    n_low = eta @ patch.normal
-    M0, M1 = patch_moments(T, patch, origin)
-    F0 = M0 @ n_low  # sum w T^{ab} n_b
-    F1 = np.einsum("abc,b->ac", M1, n_low)  # sum w T^{ab} n_b (x - origin)^c
+    F0, F1 = _flux_moments(T, patch, eta @ patch.normal, origin)
     # the current of xi is K_a T^{ab} with K = P + E (x - origin)
     basis = momentum_basis(n)
     fluxes = np.array(

@@ -161,7 +161,7 @@ def run_scenario(
     sig = sig or Signature.mostly_minus(4)
     T, spec = build(name, **(params or {}))
     patch = spec.slice_patch(sig, scale=scale)
-    M0, _ = patch_moments(T, patch)
+    M0 = patch_moments(T, patch)
     P = M0 @ (patch.sig.matrix @ patch.normal)
     stress = {}
     extras = {}
@@ -363,7 +363,7 @@ def tolman_weak_ep(T: SymTensorField, phi_value: float, patch: HyperplanePatch):
 
     if phi_value == 0:
         raise ValueError("potential value must be nonzero to define a mass")
-    return _weak_ep(patch_moments(T, patch)[0], phi_value, patch)
+    return _weak_ep(patch_moments(T, patch), phi_value, patch)
 
 
 def _weak_ep(M0: np.ndarray, phi_value: float, patch: HyperplanePatch):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from laue_lab import cli
 from laue_lab.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -194,6 +195,40 @@ def test_non_positive_fd_h_config_key_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "verify", "conservation")
     assert code == EXIT_USAGE
     assert "--fd-h must be" in err
+
+
+@pytest.mark.parametrize(
+    "beta, shown",
+    [("nan", "nan"), ("1.5", "1.5"), ("inf", "inf"), ("-1", "-1.0"), ("0.3,1.0", "1.0")],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_beta_outside_unit_interval_is_usage_error(tmp_path, capsys, beta, shown, source):
+    argv = ["laue", "classical", "--scenario", "gaussian_dust", "--grid-n", "12"]
+    if source == "flag":
+        argv += [f"--beta={b}" for b in beta.split(",")]
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\nbeta = {beta}\n")
+        argv = ["--config", str(cfg)] + argv
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"--beta must be finite with |beta| < 1, got {shown}" in err
+
+
+@pytest.mark.parametrize(
+    "exc", [MemoryError("Unable to allocate 16.0 GiB for an array"), MemoryError()]
+)
+def test_memory_error_is_numeric_fault(monkeypatch, capsys, exc):
+    def exhausted(seed):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_algebra_suite", exhausted)
+    code, out, err = run(capsys, "verify", "algebra")
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("numeric fault: ") and err.count("\n") == 1
+    assert (str(exc) or "MemoryError") in err
 
 
 def test_config_scenario_key_is_applied(tmp_path, capsys):

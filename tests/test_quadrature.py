@@ -23,6 +23,7 @@ from laue_lab.fields import (
     active_transform,
 )
 from laue_lab.poincare import (
+    bivector_to_matrix,
     coad,
     compose,
     invert,
@@ -34,6 +35,7 @@ from laue_lab.quadrature import (
     LAUE_NAMES,
     TILE,
     HyperplanePatch,
+    _flux_moments,
     _thread_count,
     flux_charge,
     flux_charge_normal_form,
@@ -43,6 +45,7 @@ from laue_lab.quadrature import (
     integrate_scalar_density,
     laue_integrals,
     map_rule_affine,
+    momentum_basis,
     momentum_map,
     pairwise_sum,
     patch_moments,
@@ -569,26 +572,31 @@ def test_patch_moments_bitwise_across_threads_and_whole_array(monkeypatch, two_c
     T = SymTensorField(T)
     patch = two_tile_patch()
     origin = np.array([0.0, 0.3, -0.2, 0.1])
+    n_low = SIG.matrix @ patch.normal
     monkeypatch.setenv("LAUE_LAB_THREADS", "1")
-    M0_1, M1_1 = patch_moments(T, patch, origin)
+    M0_1 = patch_moments(T, patch)
+    F0_1, F1_1 = _flux_moments(T, patch, n_low, origin)
     monkeypatch.setenv("LAUE_LAB_THREADS", "2")
-    M0_2, M1_2 = patch_moments(T, patch, origin)
-    assert on_main == [True, True, False, False]  # two tiles, pooled under 2
-    assert np.array_equal(M0_1, M0_2) and np.array_equal(M1_1, M1_2)
+    M0_2 = patch_moments(T, patch)
+    F0_2, F1_2 = _flux_moments(T, patch, n_low, origin)
+    assert on_main == [True] * 4 + [False] * 4  # two tiles per pass, pooled under 2
+    assert np.array_equal(M0_1, M0_2)
+    assert np.array_equal(F0_1, F0_2) and np.array_equal(F1_1, F1_2)
 
     nodes, weights = patch.nodes_weights()
     pts = patch.points(nodes)
     Tv = dust(pts)
     w = weights * (patch.orientation * patch.frame_phase())  # timelike normal
-    first = (Tv * w[:, None, None])[:, :, :, None] * (pts - origin)[:, None, None, :]
+    wj = np.einsum("mab,b->am", Tv, n_low).T * w[:, None]  # the per-node flux, weighted
     M0_ref = [[recursive_pairwise_sum(Tv[:, a, b] * w) for b in range(4)] for a in range(4)]
-    M1_ref = [
-        [[recursive_pairwise_sum(first[:, a, b, c]) for c in range(4)] for b in range(4)]
+    F0_ref = [recursive_pairwise_sum(wj[:, a]) for a in range(4)]
+    F1_ref = [
+        [recursive_pairwise_sum(wj[:, a] * (pts[:, c] - origin[c])) for c in range(4)]
         for a in range(4)
     ]
     assert np.array_equal(M0_1, np.array(M0_ref))
-    assert np.array_equal(M1_1, np.array(M1_ref))
-    assert patch_moments(T, patch)[1] is None
+    assert np.array_equal(F0_1, np.array(F0_ref))
+    assert np.array_equal(F1_1, np.array(F1_ref))
 
 
 def test_transformed_moments_bitwise_across_threads(monkeypatch, two_cpus):
@@ -603,13 +611,43 @@ def test_transformed_moments_bitwise_across_threads(monkeypatch, two_cpus):
     T_g = active_transform(g, SymTensorField(T))
     image = transform_patch(g, two_tile_patch())
     origin = np.array([0.1, -0.3, 0.2, 0.4])
+    n_low = SIG.matrix @ image.normal
     monkeypatch.setenv("LAUE_LAB_THREADS", "1")
-    M0_1, M1_1 = patch_moments(T_g, image, origin)
+    M0_1 = patch_moments(T_g, image)
+    F0_1, F1_1 = _flux_moments(T_g, image, n_low, origin)
     monkeypatch.setenv("LAUE_LAB_THREADS", "2")
-    M0_2, M1_2 = patch_moments(T_g, image, origin)
+    M0_2 = patch_moments(T_g, image)
+    F0_2, F1_2 = _flux_moments(T_g, image, n_low, origin)
     main = threading.main_thread()
-    assert [t is main for t in seen] == [True, True, False, False]  # pooled under 2
-    assert np.array_equal(M0_1, M0_2) and np.array_equal(M1_1, M1_2)
+    assert [t is main for t in seen] == [True] * 4 + [False] * 4  # pooled under 2
+    assert np.array_equal(M0_1, M0_2)
+    assert np.array_equal(F0_1, F0_2) and np.array_equal(F1_1, F1_2)
+
+
+def test_momentum_map_fluxes_match_moment_route():
+    # the reference contracts the whole moments M0^{ab} and M1^{abc} with the
+    # normal after the reduction, the route the per-node flux contraction replaced
+    dust = make_static_dust(1.0, 0.7)
+    g = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translation([0.2, -0.1, 0.3, 0.5])))
+    T_g = active_transform(g, SymTensorField(dust))
+    image = transform_patch(g, HyperplanePatch.time_slice(SIG, half_widths=2.0, grid=(24,)))
+    origin = np.array([0.1, -0.3, 0.2, 0.4])
+    mv = momentum_map(T_g, image, origin)
+
+    nodes, weights = image.nodes_weights()
+    pts = image.points(nodes)
+    wT = T_g(pts) * (weights * image.orientation * image.frame_phase())[:, None, None]
+    M0 = pairwise_sum(wT.reshape(-1, 16)).reshape(4, 4)
+    M1 = pairwise_sum((wT[..., None] * (pts - origin)[:, None, None, :]).reshape(-1, 64))
+    n_low = SIG.matrix @ image.normal
+    F0 = M0 @ n_low
+    F1 = np.einsum("abc,b->ac", M1.reshape(4, 4, 4), n_low)
+    ref = np.array([
+        SIG.matrix @ xi.P @ F0 + np.sum((SIG.matrix @ bivector_to_matrix(xi.M, SIG)) * F1)
+        for xi in momentum_basis(4)
+    ])
+    assert np.max(np.abs(ref)) > 0.1
+    assert np.max(np.abs(mv.fluxes - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def nan_at_one_node():
