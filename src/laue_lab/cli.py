@@ -161,62 +161,58 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(path: str) -> dict:
+    """Parse into {"run": {key: text}} and {"scenario.NAME": params typed by the
+    scenario's declaration}; unknown sections, keys, scenarios, parameters exit 2."""
+    from .scenarios import scenario_params
+
     cp = configparser.ConfigParser()
     cp.optionxform = str  # scenario parameters are case-sensitive (coulomb_shell's R)
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ValueError(f"cannot read config file {path!r}")
-    out = {}
+    out = {"run": {}}
     for section in cp.sections():
-        if section != "run" and not section.startswith("scenario."):
+        values = dict(cp.items(section))
+        if section == "run":
+            for key in values:
+                if key not in RUN_KEYS:
+                    raise ValueError(f"unknown config key {key!r} in [run]")
+            out["run"] = values
+        elif section.startswith("scenario."):
+            out[section] = scenario_params(section[len("scenario."):], values)
+        else:
             raise ValueError(f"unknown config section [{section}]")
-        for key, value in cp.items(section):
-            if section == "run" and key not in RUN_KEYS:
-                raise ValueError(f"unknown config key {key!r} in [run]")
-            out[f"{section}.{key}"] = value
     return out
 
 
 def _apply_config(args, cfg: dict, flags):
     reads = COMMON + flags
-    for key in cfg:
-        section, _, name = key.partition(".")
-        if section == "run" and name not in reads:
+    run_cfg = cfg.get("run", {})
+    for name in run_cfg:
+        if name not in reads:
             check = " ".join(filter(None, (args.command, args.check)))
             raise ValueError(f"config key {name!r} in [run] is not read by {check}")
     for key in reads:
         _, parse, default = OPTIONS[key]
-        cfg_val = cfg.get(f"run.{key}")
+        source = "--" + key.replace("_", "-")  # where a bad value is reported from
+        cfg_val = run_cfg.get(key)
         if cfg_val is not None:
             value = parse(cfg_val)
             if getattr(args, key) is None:
                 setattr(args, key, value)
+                source = f"[run] {key}"
             elif getattr(args, key) != value:
-                print(
-                    f"note: flag --{key.replace('_', '-')}={getattr(args, key)} "
-                    f"overrides config value {cfg_val}",
-                    file=sys.stderr,
-                )
+                print(f"note: flag {source}={getattr(args, key)} overrides config value {cfg_val}",
+                      file=sys.stderr)
         value = getattr(args, key)
         if value is None:
             setattr(args, key, default)
         elif key in ("fd_h", "grid_n") and not (value > 0 and math.isfinite(value)):
-            flag = "--" + key.replace("_", "-")
-            raise ValueError(f"{flag} must be a finite positive number, got {value}")
+            raise ValueError(f"{source} must be a finite positive number, got {value}")
         elif key == "beta" and (bad := [b for b in value if not abs(b) < 1]):  # nan, inf too
-            raise ValueError(f"--beta must be finite with |beta| < 1, got {bad[0]}")
+            raise ValueError(f"{source} must be finite with |beta| < 1, got {bad[0]}")
     if args.format not in FORMATS:
         raise ValueError(f"unknown format {args.format!r}")
     return args
-
-
-def scenario_params_from_config(cfg: dict, name: str) -> dict:
-    prefix = f"scenario.{name}."
-    params = {}
-    for key, value in cfg.items():
-        if key.startswith(prefix):
-            params[key[len(prefix):]] = float(value)
-    return params
 
 
 # --- suite runners; each returns (records, ok), ok read from the records ---
@@ -556,8 +552,7 @@ def run_laue_command(args, cfg) -> tuple:
     from .poincare import compose, rotation, standard_boost, translation
     from .scenarios import build
 
-    params = scenario_params_from_config(cfg, args.scenario)
-    T, spec = build(args.scenario, **params)
+    T, spec = build(args.scenario, **cfg.get(f"scenario.{args.scenario}", {}))
     sig = Signature.mostly_minus(4)
     scale = args.grid_n / 48.0
     if args.check == "classical":
@@ -606,9 +601,7 @@ def run_laue_command(args, cfg) -> tuple:
 def run_scenario_command(args, cfg) -> tuple:
     from .scenarios import run_scenario
 
-    params = scenario_params_from_config(cfg, args.name)
-    scale = args.grid_n / 48.0
-    result = run_scenario(args.name, params, Signature.mostly_minus(4), scale)
+    result = run_scenario(args.name, cfg.get(f"scenario.{args.name}"), scale=args.grid_n / 48.0)
     records = [
         IntegralRecord(f"P{a}", float(result.P[a]), result.grid) for a in range(4)
     ]

@@ -17,13 +17,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .exterior import Signature, multi_indices
 from .fields import MetricField, SymTensorField, VectorField, dual_form
-from .poincare import PoincareElement, PoinLieElement, _matvec, is_isometry, pairing
+from .poincare import PoincareElement, PoinLieElement, _matvec, bivector_to_matrix, is_isometry, pairing
 
 __all__ = [
     "HyperplanePatch",
@@ -434,6 +435,17 @@ def momentum_basis(n: int):
     return basis
 
 
+@lru_cache(maxsize=None)
+def _generator_pairing(sig: Signature):
+    """Per basis generator xi, the lowered parts (eta P, eta E) of its
+    current K_a T^{ab} with K = P + E (x - origin); and the Gram matrix of
+    ``pairing`` over the basis.  Both depend on the signature alone."""
+    eta = sig.matrix
+    basis = momentum_basis(sig.n)
+    currents = tuple((eta @ xi.P, eta @ bivector_to_matrix(xi.M, sig)) for xi in basis)
+    return currents, np.array([[pairing(x, y, sig) for y in basis] for x in basis])
+
+
 def _flux_moments(T: SymTensorField, patch: HyperplanePatch, n_low, origin: np.ndarray):
     """F0^a = sum w j^a and F1^{ac} = sum (w j^a) (x - origin)^c of the
     normal flux j^a = T^{ab} n_b, contracted per node before the reduction
@@ -468,19 +480,12 @@ def momentum_map(
     pairing(value, xi_i) = flux_i.  The translation sector reproduces
     :func:`four_momentum`.
     """
-    from .poincare import bivector_to_matrix
-
     sig = sig or patch.sig
     n = sig.n
     origin = np.asarray(origin, float)
-    eta = sig.matrix
-    F0, F1 = _flux_moments(T, patch, eta @ patch.normal, origin)
-    # the current of xi is K_a T^{ab} with K = P + E (x - origin)
-    basis = momentum_basis(n)
-    fluxes = np.array(
-        [eta @ xi.P @ F0 + np.sum((eta @ bivector_to_matrix(xi.M, sig)) * F1) for xi in basis]
-    )
-    gram = np.array([[pairing(x, y, sig) for y in basis] for x in basis])
+    F0, F1 = _flux_moments(T, patch, sig.matrix @ patch.normal, origin)
+    currents, gram = _generator_pairing(sig)
+    fluxes = np.array([KP @ F0 + np.sum(KE * F1) for KP, KE in currents])
     try:
         coeffs = np.linalg.solve(gram, fluxes)
     except np.linalg.LinAlgError as exc:  # cannot occur for this pairing

@@ -5,19 +5,21 @@ electric stress convention is fixed by the pointwise trace identity
 T^{00} = T^{11} + T^{22} + T^{33} for a pure field, which pins
 T^{ab} = |E|^2 delta^{ab} / 2 - E^a E^b.
 
-Each scenario carries its preferred quadrature: a Cartesian box for
-compact or rapidly decaying fields, a radially adapted product rule
-(linear inside the shell radius, log-spaced Simpson outside) for the
-1/r^4 Coulomb tails.  ``adapted_slice_patch`` places the same rule in
-coordinates adapted to a group element, so discontinuity surfaces of
-transformed fields stay aligned with radial cells.
+Each scenario is declared once, by a function whose keyword defaults are
+its parameters and which returns its field, closed forms and preferred
+quadrature: a Cartesian box for compact or rapidly decaying fields, a
+radially adapted product rule (linear inside the shell radius, log-spaced
+Simpson outside) for the 1/r^4 Coulomb tails.  ``adapted_slice_patch``
+places the same rule in coordinates adapted to a group element, so
+discontinuity surfaces of transformed fields stay aligned with radial cells.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,20 +38,13 @@ __all__ = [
     "ScenarioResult",
     "SCENARIO_NAMES",
     "build",
+    "scenario_params",
     "tolman_weak_ep",
     "kinetic_stress_sums",
     "coulomb_pair_energy",
     "virial_check",
     "trouton_noble_demo",
 ]
-
-SCENARIO_NAMES = (
-    "gaussian_dust",
-    "coulomb_shell",
-    "completed_shell",
-    "uniform_field_box",
-    "moving_dust",
-)
 
 # relative nudge separating the radial segments at a shell surface, so the
 # discontinuity sits between Simpson endpoints rather than on one
@@ -58,27 +53,16 @@ _EDGE_NUDGE = 1e-12
 
 @dataclass
 class ScenarioSpec:
-    """Scenario metadata plus its preferred slice quadrature."""
+    """Scenario metadata plus its preferred slice quadrature: ``rule(scale,
+    outer)`` gives nodes (m, 3) and weights (m,) in comoving coordinates;
+    ``outer`` overrides a radial rule's outer radius, a box rule ignores it."""
 
     name: str
-    params: dict
     kind: str  # "radial" or "cartesian"
     stationary: bool
     conserved: bool
-    box_half_widths: Optional[np.ndarray] = None
-    shell_radius: Optional[float] = None
-    outer_radius: Optional[float] = None
+    rule: Callable
     analytic: dict = field(default_factory=dict)
-
-    def _radial_segments(self, scale: float, outer: Optional[float] = None):
-        R = self.shell_radius
-        r_out = outer if outer is not None else self.outer_radius
-        n_in = 2 * max(1, round(12 * scale))
-        n_out = 2 * max(1, round(48 * scale))
-        return [
-            (1e-9 * R, R * (1.0 - _EDGE_NUDGE), n_in, "linear"),
-            (R * (1.0 + _EDGE_NUDGE), r_out, n_out, "log"),
-        ]
 
     def slice_patch(
         self,
@@ -119,20 +103,14 @@ class ScenarioSpec:
             shift = (ginv.apply(point0))[1:]
             if abs(np.linalg.det(S)) < 1e-12:
                 raise ValueError("slice is degenerate in adapted coordinates")
-        if self.kind == "radial":
-            n_ang = max(4, round(48 * scale))
-            nodes_u, weights_u = spherical_rule(
-                self._radial_segments(scale, outer), n_ang, n_ang
-            )
-        elif self.kind == "cartesian":
-            nodes_u, weights_u = box_rule(
-                self.box_half_widths, (max(2, round(48 * scale)),) * (n - 1)
-            )
-        else:
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
-        nodes, weights = map_rule_affine(nodes_u, weights_u, S, shift)
+        nodes, weights = map_rule_affine(*self.rule(scale, outer), S, shift)
         base = HyperplanePatch.time_slice(sig, t=t, half_widths=1.0, grid=(2,))
         return base.with_rule(nodes, weights)
+
+
+def _box(half_widths):
+    """Midpoint rule on the box of these half widths, 48 * scale cells a side."""
+    return lambda scale, outer: box_rule(half_widths, (max(2, round(48 * scale)),) * 3)
 
 
 @dataclass
@@ -175,179 +153,180 @@ def run_scenario(
     )
 
 
-def _smoothstep_c2(t):
-    """Quintic blend, 0 -> 1 on [0, 1] with vanishing first and second
-    derivatives at both ends."""
-    t = np.clip(t, 0.0, 1.0)
-    return t**3 * (10.0 + t * (-15.0 + 6.0 * t))
+# --- the scenarios: each returns (T^{ab} as a point function, spec) ---
 
 
-def _shell_stress(points, q, R, r_out, completed, mollify=0.0):
-    points = np.asarray(points, float)
-    x = points[..., 1:]
-    r2 = np.sum(x * x, axis=-1)
-    r = np.sqrt(r2)
-    # floor keeps 1/r^4 finite at the origin, where the weight is zero anyway
-    r_safe = np.maximum(r, 1e-60 * R)
-    out = np.zeros(points.shape[:-1] + (4, 4))
-    coef = (q / (4.0 * math.pi)) ** 2
-    e2 = coef / r_safe**4  # |E|^2
-    dirs = x / r_safe[..., None]
-    if mollify > 0.0:
-        # C^2 blend of width mollify across the surface, for derivative
-        # probes only; integral checks use the sharp profile
-        w = _smoothstep_c2((r - (R - 0.5 * mollify)) / mollify)
-    else:
-        w = (r > R).astype(float)
-    half_e2 = w * 0.5 * e2
-    out[..., 0, 0] = half_e2
-    for a in range(3):
-        for b in range(a, 3):
-            ee = -w * e2 * (dirs[..., a] * dirs[..., b])
-            out[..., 1 + a, 1 + b] = ee
-            out[..., 1 + b, 1 + a] = ee
-        out[..., 1 + a, 1 + a] += half_e2
-    if completed:
-        # interior isotropic tension balancing the exterior stress integrals
-        p = q**2 / (32.0 * math.pi**2 * R**4)
-        for a in range(3):
-            out[..., 1 + a, 1 + a] -= (1.0 - w) * p
-    return out
+def _gaussian_dust(rho0=1.0, sigma=1.0):
+    """Static dust ball T^{00} = rho0 exp(-r^2 / sigma^2)."""
+    if rho0 <= 0 or sigma <= 0:
+        raise ValueError("gaussian_dust needs positive rho0 and sigma")
+
+    def func(points):
+        points = np.asarray(points, float)
+        r2 = np.sum(points[..., 1:] ** 2, axis=-1)
+        out = np.zeros(points.shape[:-1] + (4, 4))
+        out[..., 0, 0] = rho0 * np.exp(-r2 / sigma**2)
+        return out
+
+    return func, ScenarioSpec(
+        "gaussian_dust", "cartesian", stationary=True, conserved=True,
+        rule=_box(np.full(3, 8.0 * sigma)), analytic={"P0": rho0 * math.pi**1.5 * sigma**3},
+    )
 
 
-def build(name: str, **params):
-    """Return (T, spec) for a named scenario; unknown names are rejected."""
-    if name == "gaussian_dust":
-        rho0 = float(params.pop("rho0", 1.0))
-        sigma = float(params.pop("sigma", 1.0))
-        _reject_unknown(name, params)
-        if rho0 <= 0 or sigma <= 0:
-            raise ValueError("gaussian_dust needs positive rho0 and sigma")
+def _shell(completed: bool):
+    """The charged shell, bare (the 4/3 defect) or stress-completed."""
 
-        def func(points):
-            points = np.asarray(points, float)
-            r2 = np.sum(points[..., 1:] ** 2, axis=-1)
-            out = np.zeros(points.shape[:-1] + (4, 4))
-            out[..., 0, 0] = rho0 * np.exp(-r2 / sigma**2)
-            return out
-
-        T = SymTensorField(func, stationary=True)
-        spec = ScenarioSpec(
-            name,
-            {"rho0": rho0, "sigma": sigma},
-            kind="cartesian",
-            stationary=True,
-            conserved=True,
-            box_half_widths=np.full(3, 8.0 * sigma),
-            analytic={"P0": rho0 * math.pi**1.5 * sigma**3},
-        )
-        return T, spec
-
-    if name in ("coulomb_shell", "completed_shell"):
-        q = float(params.pop("q", 1.0))
-        R = float(params.pop("R", 1.0))
-        r_out = float(params.pop("r_out", 1e3 * R))
-        mollify = params.pop("mollify", 0.0)
-        mollify = 0.05 * R if mollify is True else float(mollify)
-        _reject_unknown(name, params)
+    def declare(q=1.0, R=1.0, r_out=None, mollify=0.0):
+        """Charge q on radius R, field cut off at r_out (default 1e3 R);
+        ``mollify`` blends the surface over that width (True: 0.05 R)."""
+        r_out = 1e3 * R if r_out is None else r_out
+        mollify = 0.05 * R if mollify is True else mollify
         if q == 0 or R <= 0 or r_out <= R:
             raise ValueError("shell needs q != 0, R > 0, r_out > R")
         if mollify < 0 or mollify >= R:
             raise ValueError("mollifier width must be in [0, R)")
-        completed = name == "completed_shell"
 
-        def func(points, q=q, R=R, r_out=r_out, completed=completed, m=mollify):
-            return _shell_stress(points, q, R, r_out, completed, m)
+        def func(points):
+            points = np.asarray(points, float)
+            x = points[..., 1:]
+            r2 = np.sum(x * x, axis=-1)
+            r = np.sqrt(r2)
+            # floor keeps 1/r^4 finite at the origin, where the weight is zero anyway
+            r_safe = np.maximum(r, 1e-60 * R)
+            out = np.zeros(points.shape[:-1] + (4, 4))
+            coef = (q / (4.0 * math.pi)) ** 2
+            e2 = coef / r_safe**4  # |E|^2
+            dirs = x / r_safe[..., None]
+            if mollify > 0.0:
+                # quintic C^2 blend of width mollify across the surface, for
+                # derivative probes only; integral checks use the sharp profile
+                t = np.clip((r - (R - 0.5 * mollify)) / mollify, 0.0, 1.0)
+                w = t**3 * (10.0 + t * (-15.0 + 6.0 * t))
+            else:
+                w = (r > R).astype(float)
+            half_e2 = w * 0.5 * e2
+            out[..., 0, 0] = half_e2
+            for a in range(3):
+                for b in range(a, 3):
+                    ee = -w * e2 * (dirs[..., a] * dirs[..., b])
+                    out[..., 1 + a, 1 + b] = ee
+                    out[..., 1 + b, 1 + a] = ee
+                out[..., 1 + a, 1 + a] += half_e2
+            if completed:
+                # interior isotropic tension balancing the exterior stress integrals
+                p = q**2 / (32.0 * math.pi**2 * R**4)
+                for a in range(3):
+                    out[..., 1 + a, 1 + a] -= (1.0 - w) * p
+            return out
 
-        T = SymTensorField(func, stationary=True)
+        def rule(scale, outer):
+            n_ang = max(4, round(48 * scale))
+            segments = [
+                (1e-9 * R, R * (1.0 - _EDGE_NUDGE), 2 * max(1, round(12 * scale)), "linear"),
+                (R * (1.0 + _EDGE_NUDGE), outer if outer is not None else r_out,
+                 2 * max(1, round(48 * scale)), "log"),
+            ]
+            return spherical_rule(segments, n_ang, n_ang)
+
         P0 = q**2 / (8.0 * math.pi) * (1.0 / R - 1.0 / r_out)
-        spec = ScenarioSpec(
-            name,
-            {"q": q, "R": R, "r_out": r_out},
-            kind="radial",
-            stationary=True,
-            conserved=completed,
-            shell_radius=R,
-            outer_radius=r_out,
-            analytic={
-                "P0": P0,
-                "stress_11": 0.0 if completed else P0 / 3.0,
-            },
+        return func, ScenarioSpec(
+            "completed_shell" if completed else "coulomb_shell", "radial",
+            stationary=True, conserved=completed, rule=rule,
+            analytic={"P0": P0, "stress_11": 0.0 if completed else P0 / 3.0},
         )
-        return T, spec
 
-    if name == "uniform_field_box":
-        E0 = float(params.pop("E0", 1.0))
-        tilt = float(params.pop("tilt", math.pi / 4.0))
-        box = np.asarray(params.pop("box", (1.0, 1.0, 1.0)), float)
-        _reject_unknown(name, params)
-        if E0 <= 0 or (box <= 0).any():
-            raise ValueError("uniform_field_box needs positive E0 and box sides")
-        E = E0 * np.array([math.cos(tilt), math.sin(tilt), 0.0])
-        const = 0.5 * float(E @ E) * np.eye(3) - np.outer(E, E)
-        block = np.zeros((4, 4))
-        block[0, 0] = 0.5 * float(E @ E)
-        block[1:, 1:] = const
-        half = box / 2.0
-
-        def func(points):
-            points = np.asarray(points, float)
-            inside = np.all(np.abs(points[..., 1:]) <= half, axis=-1)
-            return inside[..., None, None] * block
-
-        T = SymTensorField(func, stationary=True)
-        V = float(np.prod(box))
-        spec = ScenarioSpec(
-            name,
-            {"E0": E0, "tilt": tilt, "box": tuple(box)},
-            kind="cartesian",
-            stationary=True,
-            conserved=False,
-            box_half_widths=half,
-            analytic={
-                "P0": 0.5 * float(E @ E) * V,
-                "stress_12": -E[0] * E[1] * V,
-            },
-        )
-        return T, spec
-
-    if name == "moving_dust":
-        rho0 = float(params.pop("rho0", 1.0))
-        sigma = float(params.pop("sigma", 1.0))
-        v = float(params.pop("v", 0.4))
-        _reject_unknown(name, params)
-        if abs(v) >= 1.0:
-            raise ValueError("|v| must be < 1")
-        if sigma <= 0:
-            raise ValueError("moving_dust needs positive sigma")
-        gamma = 1.0 / math.sqrt(1.0 - v * v)
-        u4 = gamma * np.array([1.0, v, 0.0, 0.0])
-
-        def func(points):
-            points = np.asarray(points, float)
-            center = v * points[..., 0]
-            dx = points[..., 1] - center
-            r2 = dx**2 + points[..., 2] ** 2 + points[..., 3] ** 2
-            rho = rho0 * np.exp(-r2 / sigma**2)
-            return rho[..., None, None] * np.outer(u4, u4)
-
-        T = SymTensorField(func, stationary=False)
-        spec = ScenarioSpec(
-            name,
-            {"rho0": rho0, "sigma": sigma, "v": v},
-            kind="cartesian",
-            stationary=False,
-            conserved=False,
-            box_half_widths=np.full(3, 8.0 * sigma),
-        )
-        return T, spec
-
-    raise ValueError(f"unknown scenario {name!r}; known: {SCENARIO_NAMES}")
+    return declare
 
 
-def _reject_unknown(name, params):
-    if params:
-        raise ValueError(f"unknown parameters for {name}: {sorted(params)}")
+def _uniform_field_box(E0=1.0, tilt=math.pi / 4.0, box=(1.0, 1.0, 1.0)):
+    """Uniform field E0 (cos tilt, sin tilt, 0) filling a box of these sides."""
+    box = np.asarray(box, float)
+    if E0 <= 0 or (box <= 0).any():
+        raise ValueError("uniform_field_box needs positive E0 and box sides")
+    E = E0 * np.array([math.cos(tilt), math.sin(tilt), 0.0])
+    block = np.zeros((4, 4))
+    block[0, 0] = 0.5 * float(E @ E)
+    block[1:, 1:] = block[0, 0] * np.eye(3) - np.outer(E, E)
+    half = box / 2.0
+
+    def func(points):
+        points = np.asarray(points, float)
+        inside = np.all(np.abs(points[..., 1:]) <= half, axis=-1)
+        return inside[..., None, None] * block
+
+    V = float(np.prod(box))
+    return func, ScenarioSpec(
+        "uniform_field_box", "cartesian", stationary=True, conserved=False, rule=_box(half),
+        analytic={"P0": 0.5 * float(E @ E) * V, "stress_12": -E[0] * E[1] * V},
+    )
+
+
+def _moving_dust(rho0=1.0, sigma=1.0, v=0.4):
+    """Gaussian dust ball drifting along x^1 at speed v."""
+    if abs(v) >= 1.0:
+        raise ValueError("|v| must be < 1")
+    if rho0 <= 0 or sigma <= 0:
+        raise ValueError("moving_dust needs positive rho0 and sigma")
+    gamma = 1.0 / math.sqrt(1.0 - v * v)
+    u4 = gamma * np.array([1.0, v, 0.0, 0.0])
+
+    def func(points):
+        points = np.asarray(points, float)
+        center = v * points[..., 0]
+        dx = points[..., 1] - center
+        r2 = dx**2 + points[..., 2] ** 2 + points[..., 3] ** 2
+        rho = rho0 * np.exp(-r2 / sigma**2)
+        return rho[..., None, None] * np.outer(u4, u4)
+
+    return func, ScenarioSpec(
+        "moving_dust", "cartesian", stationary=False, conserved=False, rule=_box(np.full(3, 8.0 * sigma))
+    )
+
+
+_SCENARIOS = {
+    "gaussian_dust": _gaussian_dust,
+    "coulomb_shell": _shell(completed=False),
+    "completed_shell": _shell(completed=True),
+    "uniform_field_box": _uniform_field_box,
+    "moving_dust": _moving_dust,
+}
+SCENARIO_NAMES = tuple(_SCENARIOS)
+
+
+def scenario_params(name: str, params: dict) -> dict:
+    """Check ``params`` against the scenario's declaration and type each
+    value from its default: a tuple default takes that many numbers, as a
+    sequence or a comma list, any other default one number.  Config text is
+    read the same way.  Unknown names and parameters and non-finite values
+    raise ValueError."""
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; known: {SCENARIO_NAMES}")
+    declared = inspect.signature(_SCENARIOS[name]).parameters
+    unknown = set(params) - set(declared)
+    if unknown:
+        raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
+    typed = {}
+    for key, value in params.items():
+        shape = np.shape(declared[key].default)  # (k,) for a tuple default, () for any other
+        try:
+            x = np.array(value.split(",") if shape and isinstance(value, str) else value, float)
+        except (TypeError, ValueError):
+            x = np.array(math.nan)
+        if x.shape != shape or not np.isfinite(x).all():
+            want = f"{shape[0]} finite numbers, comma-separated" if shape else "a finite number"
+            raise ValueError(f"{name} parameter {key} must be {want}, got {value!r}")
+        # a bool passes as given: the shells read mollify=True as a width
+        typed[key] = tuple(x.tolist()) if shape else value if isinstance(value, bool) else float(x)
+    return typed
+
+
+def build(name: str, **params):
+    """Return (T, spec) for a named scenario.  Parameters are checked and
+    typed by :func:`scenario_params`, then the scenario checks their ranges."""
+    params = scenario_params(name, params)
+    func, spec = _SCENARIOS[name](**params)
+    return SymTensorField(func, stationary=spec.stationary), spec
 
 
 def tolman_weak_ep(T: SymTensorField, phi_value: float, patch: HyperplanePatch):
@@ -453,11 +432,9 @@ def trouton_noble_demo(
     boosted = boost_emt_analytic(T, beta)
     patch = spec.adapted_slice_patch(standard_boost(1, beta), sig)
     P_bar = four_momentum(boosted, patch)
-    E = E0 * np.array([math.cos(tilt), math.sin(tilt), 0.0])
-    V = float(np.prod(np.asarray(box, float)))
-    closed_form = np.array([-beta * E[0] * E[1] * V, 0.0])
+    stress_12 = spec.analytic["stress_12"]
     return {
         "transverse_direct": P_bar[2:],
-        "transverse_closed_form": closed_form,
-        "stress_12": -E[0] * E[1] * V,
+        "transverse_closed_form": np.array([beta * stress_12, 0.0]),
+        "stress_12": stress_12,
     }

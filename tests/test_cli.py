@@ -1,4 +1,7 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,6 +142,60 @@ def test_config_scenario_parameters_keep_their_case(tmp_path, capsys):
     assert p0("--config", str(cfg)) == pytest.approx(p0() / 2.0, rel=1e-2)
 
 
+@pytest.mark.parametrize(
+    "section, argv",
+    [
+        ("[scenario.gaussian_dust]\nsigma = nan", ["scenario", "gaussian_dust"]),
+        ("[scenario.coulomb_shell]\nq = inf", ["scenario", "coulomb_shell"]),
+        ("[scenario.uniform_field_box]\ntilt = nan", ["laue", "fake", "--scenario", "uniform_field_box"]),
+        ("[scenario.moving_dust]\nv = nan", ["scenario", "moving_dust"]),
+        ("[scenario.moving_dust]\nrho0 = -1", ["scenario", "moving_dust"]),
+        ("[scenario.uniform_field_box]\nbox = 1,2", ["scenario", "uniform_field_box"]),
+    ],
+)
+def test_bad_scenario_config_value_is_usage_error(tmp_path, capsys, section, argv):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(section + "\n")
+    code, out, err = run(capsys, "--config", str(cfg), *argv, "--grid-n", "12")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_config_box_takes_a_comma_list(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[scenario.uniform_field_box]\nbox = 1,2,3\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "scenario", "uniform_field_box",
+                       "--grid-n", "12", "--format", "json")
+    assert code == EXIT_OK
+    p0 = [r for r in json.loads(out) if r["quantity"] == "P0"][0]["value"]
+    assert p0 == pytest.approx(0.5 * 1.0**2 * 6.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "section, shown",
+    [
+        ("[scenario.bogus]\na = 1", "unknown scenario 'bogus'"),
+        ("[scenario.gaussian_dust]\ncharge = 2", "unknown parameters for gaussian_dust: ['charge']"),
+    ],
+)
+def test_unknown_scenario_section_or_key_is_usage_error(tmp_path, capsys, section, shown):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(section + "\n")
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "algebra")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert shown in err
+
+
+def test_section_of_another_known_scenario_is_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[scenario.coulomb_shell]\nR = 2.0\n")
+    code, _, err = run(capsys, "--config", str(cfg), "scenario", "gaussian_dust", "--grid-n", "12")
+    assert code == EXIT_OK
+    assert err == ""
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nformat = json\n")
@@ -194,7 +251,7 @@ def test_non_positive_fd_h_config_key_is_usage_error(tmp_path, capsys):
     cfg.write_text("[run]\nfd_h = 0\n")
     code, _, err = run(capsys, "--config", str(cfg), "verify", "conservation")
     assert code == EXIT_USAGE
-    assert "--fd-h must be" in err
+    assert "[run] fd_h must be a finite positive number, got 0.0" in err
 
 
 @pytest.mark.parametrize(
@@ -206,14 +263,16 @@ def test_beta_outside_unit_interval_is_usage_error(tmp_path, capsys, beta, shown
     argv = ["laue", "classical", "--scenario", "gaussian_dust", "--grid-n", "12"]
     if source == "flag":
         argv += [f"--beta={b}" for b in beta.split(",")]
+        name = "--beta"
     else:
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[run]\nbeta = {beta}\n")
         argv = ["--config", str(cfg)] + argv
+        name = "[run] beta"
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
-    assert f"--beta must be finite with |beta| < 1, got {shown}" in err
+    assert f"error: {name} must be finite with |beta| < 1, got {shown}" in err
 
 
 @pytest.mark.parametrize(
@@ -397,3 +456,25 @@ def test_rng_is_counter_based_and_seeded():
     b = rng_from_seed(9).standard_normal(4)
     assert np.array_equal(a, b)
     assert isinstance(np.random.Generator(np.random.Philox(9)).bit_generator, np.random.Philox)
+
+
+def test_benchmark_traced_mode_runs_a_scenario():
+    # the benchmark's traced mode wraps laue_lab's functions by name; a rename
+    # in src/ must fail here rather than only under `perfbench/run.py --trace 1`
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]\n"
+        "from spans import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "from laue_lab.cli import main\n"
+        "code = main(['scenario', 'gaussian_dust', '--grid-n', '12'])\n"
+        "print(json.dumps(sorted({span[0] for span in tracer.spans})))\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    names = json.loads(proc.stdout.splitlines()[-1])
+    assert {"cli", "scenarios", "quadrature.rule", "quadrature.reduce", "fields.eval"} <= set(names)

@@ -419,6 +419,20 @@ def test_momentum_map_zero_tensor():
     assert np.allclose(mv.fluxes, 0.0)
 
 
+def test_momentum_map_pairs_generators_once_per_signature(monkeypatch):
+    from laue_lab import quadrature
+
+    calls = []
+    pairing = quadrature.pairing
+    monkeypatch.setattr(quadrature, "pairing", lambda *args: calls.append(1) or pairing(*args))
+    dust = make_static_dust(1.0, 0.6)
+    first = momentum_map(dust, unit_cube_slice(), np.zeros(4))
+    made = len(calls)  # the 10 x 10 Gram matrix, unless an earlier call built it
+    second = momentum_map(dust, unit_cube_slice(), np.zeros(4))
+    assert made in (0, 100) and len(calls) == made
+    assert np.array_equal(first.components(), second.components())
+
+
 # --- spherical rules ---
 
 

@@ -32,6 +32,42 @@ def test_unknown_scenario_rejected():
         build("gaussian_dust", charge=2.0)
 
 
+FLOAT_PARAMS = [
+    ("gaussian_dust", "rho0"), ("gaussian_dust", "sigma"),
+    *[(shell, key) for shell in ("coulomb_shell", "completed_shell")
+      for key in ("q", "R", "r_out", "mollify")],
+    ("uniform_field_box", "E0"), ("uniform_field_box", "tilt"),
+    ("moving_dust", "rho0"), ("moving_dust", "sigma"), ("moving_dust", "v"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "nan", "inf"])
+@pytest.mark.parametrize("name, key", FLOAT_PARAMS)
+def test_non_finite_parameter_rejected(name, key, value):
+    with pytest.raises(ValueError, match=f"{name} parameter {key} must be a finite number"):
+        build(name, **{key: value})
+
+
+@pytest.mark.parametrize("box", [(1.0, math.nan, 1.0), (1.0, 1.0, math.inf), "1,nan,1", "1,2"])
+def test_non_finite_or_short_box_rejected(box):
+    with pytest.raises(ValueError, match="box must be 3 finite numbers"):
+        build("uniform_field_box", box=box)
+
+
+@pytest.mark.parametrize("rho0", [0.0, -1.0])
+def test_moving_dust_needs_positive_density(rho0):
+    with pytest.raises(ValueError, match="positive rho0"):
+        build("moving_dust", rho0=rho0)
+
+
+def test_parameters_typed_from_defaults():
+    # text parses as a config file's would; a tuple default takes a comma list
+    _, spec = build("uniform_field_box", E0="2", box="1, 2, 3")
+    assert spec.analytic["P0"] == pytest.approx(0.5 * 4.0 * 6.0, rel=1e-15)
+    _, spec = build("coulomb_shell", q=1, R="2")
+    assert spec.analytic["P0"] == pytest.approx(1.0 / (8.0 * math.pi) * (0.5 - 1.0 / 2e3))
+
+
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_every_builtin_tensor_is_symmetric(name):
     T, spec = build(name)
