@@ -290,9 +290,6 @@ class GeometricLaueResult:
     divergence_residual: float
     symmetry_residual: float
 
-    def spread(self) -> float:
-        return max(abs(self.rA - self.rB), abs(self.rB - self.rC), abs(self.rA - self.rC))
-
 
 def geometric_laue_residuals(
     J: VectorField,
@@ -332,11 +329,10 @@ def geometric_laue_residuals(
     if np.max(np.abs(np.abs(nn) - 1.0)) > 1e-9:
         raise ValueError("patch normal is not unit for the supplied metric")
 
-    def u_phi(points):
-        return np.einsum("...a,...a->...", phi.gradient(points, h), U(points))
-
-    def j_phi(points):
-        return np.einsum("...a,...a->...", phi.gradient(points, h), J(points))
+    def pairings(points):
+        # one sample of grad phi, U and J per point, shared by the two pairings
+        dphi, u, j = phi.gradient(points, h), U(points), J(points)
+        return np.einsum("...a,...a->...", dphi, u), np.einsum("...a,...a->...", dphi, j), u, j
 
     def integrand_A(points):
         points = np.asarray(points, float)
@@ -346,19 +342,18 @@ def geometric_laue_residuals(
     rA = abs(integrate_form(FormField(n, n - 1, integrand_A), patch))
 
     def integrand_B(points):
-        return (
-            u_phi(points)[..., None] * calJ(points)
-            - j_phi(points)[..., None] * calU(points)
-        )
+        u_phi, j_phi, _, _ = pairings(points)
+        return u_phi[..., None] * calJ(points) - j_phi[..., None] * calU(points)
 
     rB = abs(integrate_form(FormField(n, n - 1, integrand_B), patch))
 
     def integrand_C(points):
         points = np.asarray(points, float)
+        u_phi, j_phi, u, j = pairings(points)
         gv = g(points)
-        jn = np.einsum("...ab,...a,b->...", gv, J(points), patch.normal)
-        un = np.einsum("...ab,...a,b->...", gv, U(points), patch.normal)
-        return u_phi(points) * jn - j_phi(points) * un
+        jn = np.einsum("...ab,...a,b->...", gv, j, patch.normal)
+        un = np.einsum("...ab,...a,b->...", gv, u, patch.normal)
+        return u_phi * jn - j_phi * un
 
     rC = abs(integrate_scalar_density(integrand_C, patch, g))
     return GeometricLaueResult(rA, rB, rC, div_res, sym_res)

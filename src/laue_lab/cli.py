@@ -20,7 +20,17 @@ import numpy as np
 
 from . import __version__
 from .exterior import Signature
-from .quadrature import IntegralRecord
+from .fields import FormField, MetricField, ScalarField, SymTensorField, VectorField
+from .poincare import (
+    PoinLieElement,
+    compose,
+    fundamental_field,
+    rotation,
+    standard_boost,
+    translation,
+    wedge_vectors,
+)
+from .quadrature import HyperplanePatch, IntegralRecord
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -196,7 +206,10 @@ def _apply_config(args, cfg: dict, flags):
         source = "--" + key.replace("_", "-")  # where a bad value is reported from
         cfg_val = run_cfg.get(key)
         if cfg_val is not None:
-            value = parse(cfg_val)
+            try:
+                value = parse(cfg_val)
+            except ValueError as exc:
+                raise ValueError(f"[run] {key}: {exc}") from None
             if getattr(args, key) is None:
                 setattr(args, key, value)
                 source = f"[run] {key}"
@@ -213,6 +226,112 @@ def _apply_config(args, cfg: dict, flags):
     if args.format not in FORMATS:
         raise ValueError(f"unknown format {args.format!r}")
     return args
+
+
+# --- the verify suites' fields, declared once; the tests import them, not copies ---
+
+SIG = Signature.mostly_minus(4)
+ETA = MetricField.minkowski(4)
+
+
+def _curved_metric(points):
+    points = np.asarray(points, float)
+    out = np.zeros(points.shape[:-1] + (4, 4))
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = -((1.0 + 0.1 * np.sin(points[..., 1])) ** 2)
+    out[..., 2, 2] = -1.0
+    out[..., 3, 3] = -1.0
+    return out
+
+
+CURVED_METRIC = MetricField(SIG, _curved_metric, flat=False)  # g_11 = -(1 + 0.1 sin x1)^2
+
+
+def _lam(points):
+    points = np.asarray(points, float)
+    x = points[..., 1:]
+    b = np.exp(-np.sum(x * x, axis=-1) / 2.0)
+    out = np.zeros(points.shape[:-1] + (6,))
+    out[..., 5] = b  # purely spatial slot
+    out[..., 2] = 0.7 * b  # slot with a time leg: the derived current gets spatial components
+    return out
+
+
+LAM = FormField(4, 2, _lam, stationary=True)  # 2-form potential of the exact currents
+TIME_TRANSLATION = VectorField(
+    lambda points: np.broadcast_to(np.eye(4)[0], np.shape(points)[:-1] + (4,)), stationary=True
+)
+
+
+def _phi(points):
+    points = np.asarray(points, float)
+    r2 = np.sum(points[..., 1:] ** 2, axis=-1)
+    return np.exp(-r2 / 4.0) * points[..., 1]
+
+
+PHI = ScalarField(_phi, stationary=True)  # geometric test function exp(-r^2/4) x1
+
+
+def _conserved_blob(points):
+    # Gaussian energy density; spatial stress [delta_ab (r^2 - 2) - x_a x_b]
+    # exp(-r^2/2) / 2, whose spatial divergence vanishes identically
+    points = np.asarray(points, float)
+    x = points[..., 1:]
+    r2 = np.sum(x * x, axis=-1)
+    chi = 0.5 * np.exp(-r2 / 2.0)
+    out = np.zeros(points.shape[:-1] + (4, 4))
+    out[..., 0, 0] = np.exp(-r2 / 2.0)
+    for a in range(3):
+        for b in range(3):
+            out[..., 1 + a, 1 + b] = -x[..., a] * x[..., b] * chi
+        out[..., 1 + a, 1 + a] += (r2 - 2.0) * chi
+    return out
+
+
+CONSERVED_BLOB = SymTensorField(_conserved_blob, stationary=True)
+ROTATION_12 = VectorField(
+    fundamental_field(PoinLieElement(np.zeros(4), wedge_vectors(*np.eye(4)[1:3])), np.zeros(4), SIG)
+)
+
+
+def _conserved_current(points):
+    points = np.asarray(points, float)
+    t = points[..., 0]
+    x = points[..., 1:]
+    r2 = np.sum(x * x, axis=-1)
+    out = np.zeros(points.shape[:-1] + (4,))
+    out[..., 0] = -np.sin(t) * np.exp(-r2) * (3.0 - 2.0 * r2)
+    out[..., 1:] = np.cos(t)[..., None] * np.exp(-r2)[..., None] * x
+    return out
+
+
+def _sourced_current(points):
+    points = np.asarray(points, float)
+    out = np.zeros(points.shape[:-1] + (4,))
+    r2 = np.sum(points[..., 1:] ** 2, axis=-1)
+    out[..., 0] = (1.0 + 0.5 * np.sin(points[..., 0])) * np.exp(-r2)
+    return out
+
+
+CONSERVED_CURRENT = VectorField(_conserved_current)
+SOURCED_CURRENT = VectorField(_sourced_current)  # div J = 0.5 cos t exp(-r^2)
+
+
+def seeded_elements(seed: int, k: int = 5):
+    """k labelled Poincare elements, each a boost along x1 after a 1-2
+    rotation after a spatial translation, drawn in a fixed order."""
+    rng = rng_from_seed(seed)
+    out = []
+    for i in range(k):
+        g = compose(
+            standard_boost(1, float(rng.uniform(-0.6, 0.6))),
+            compose(
+                rotation(1, 2, float(rng.uniform(0, 2 * math.pi))),
+                translation(np.concatenate([[0.0], rng.uniform(-0.5, 0.5, 3)])),
+            ),
+        )
+        out.append((f"g{i}", g))
+    return out
 
 
 # --- suite runners; each returns (records, ok), ok read from the records ---
@@ -295,21 +414,15 @@ def run_algebra_suite(seed: int, n_random: int = 500, tol: float = 1e-12):
 
 
 def run_poincare_suite(seed: int, n_random: int = 200, tol: float = 1e-10):
-    from .fields import MetricField, VectorField, killing_residual
+    from .fields import killing_residual
     from .poincare import (
-        PoinLieElement,
         ad,
         ad_transpose,
         bivector_to_matrix,
-        compose,
         coad,
-        fundamental_field,
         invert,
         lie_bracket,
         pairing,
-        rotation,
-        standard_boost,
-        translation,
     )
     from .quadrature import momentum_basis
 
@@ -361,12 +474,11 @@ def run_poincare_suite(seed: int, n_random: int = 200, tol: float = 1e-10):
         bracket_field = fundamental_field(lie_bracket(xi, zeta, sig), np.zeros(4), sig)
         res_anti = max(res_anti, float(np.max(np.abs(-commutator - bracket_field(pts)))))
 
-    eta = MetricField.minkowski(4)
     probe = rng.uniform(-1.5, 1.5, (32, 4))
     res_killing = 0.0
     for xi in momentum_basis(4):
         K = VectorField(fundamental_field(xi, np.zeros(4), sig))
-        res_killing = max(res_killing, killing_residual(K, eta, probe))
+        res_killing = max(res_killing, killing_residual(K, ETA, probe))
     checks = [
         ("group_axioms", res_group, tol),
         ("adjoint_homomorphism", res_hom, tol),
@@ -383,41 +495,16 @@ def run_poincare_suite(seed: int, n_random: int = 200, tol: float = 1e-10):
 
 
 def run_identities_suite(seed: int, h: float = 1e-3, strict: bool = False):
-    from .fields import MetricField, SymTensorField, VectorField, identity_residuals
-    from .poincare import PoinLieElement, fundamental_field, wedge_vectors
+    from .fields import identity_residuals
 
-    sig = Signature.mostly_minus(4)
-    eta = MetricField.minkowski(4)
-    rng = rng_from_seed(seed)
-    pts = rng.uniform(-1.5, 1.5, (40, 4))
-
-    def blob(points):
-        points = np.asarray(points, float)
-        x = points[..., 1:]
-        r2 = np.sum(x * x, axis=-1)
-        chi = 0.5 * np.exp(-r2 / 2.0)
-        out = np.zeros(points.shape[:-1] + (4, 4))
-        out[..., 0, 0] = np.exp(-r2 / 2.0)
-        for a in range(3):
-            for b in range(3):
-                out[..., 1 + a, 1 + b] = -x[..., a] * x[..., b] * chi
-            out[..., 1 + a, 1 + a] += (r2 - 2.0) * chi
-        return out
-
-    T = SymTensorField(blob, stationary=True)
-    e1, e2 = np.eye(4)[1], np.eye(4)[2]
-    K = VectorField(
-        fundamental_field(
-            PoinLieElement(np.zeros(4), wedge_vectors(e1, e2)), np.zeros(4), sig
-        )
-    )
-    r1, r2 = identity_residuals(T, K, eta, h, pts)
+    pts = rng_from_seed(seed).uniform(-1.5, 1.5, (40, 4))
+    r1, r2 = identity_residuals(CONSERVED_BLOB, ROTATION_12, ETA, h, pts)
     records = [
         IntegralRecord.gated("emt_form_derivative_identity", r1, 1e-12, "flat", h=h),
         IntegralRecord.gated("contracted_current_identity", r2, 1e-6, "flat", h=h),
     ]
     if strict:
-        _, r2c = identity_residuals(T, K, eta, 2 * h, pts)
+        _, r2c = identity_residuals(CONSERVED_BLOB, ROTATION_12, ETA, 2 * h, pts)
         ratio, good = _doubling_ratio(r2c, r2)
         records.append(
             IntegralRecord.gated("contracted_current_refinement", ratio, 4.0, "flat",
@@ -428,51 +515,12 @@ def run_identities_suite(seed: int, h: float = 1e-3, strict: bool = False):
 
 def run_geometric_suite(seed: int, h: float = 1e-3):
     from .checkers import exact_current_factory, geometric_laue_residuals, vector_divergence
-    from .fields import FormField, MetricField, ScalarField, VectorField
-    from .quadrature import HyperplanePatch
 
-    sig = Signature.mostly_minus(4)
-    eta = MetricField.minkowski(4)
-
-    def curved_func(points):
-        points = np.asarray(points, float)
-        out = np.zeros(points.shape[:-1] + (4, 4))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = -((1.0 + 0.1 * np.sin(points[..., 1])) ** 2)
-        out[..., 2, 2] = -1.0
-        out[..., 3, 3] = -1.0
-        return out
-
-    curved = MetricField(sig, curved_func, flat=False)
-
-    def lam_comps(points):
-        points = np.asarray(points, float)
-        x = points[..., 1:]
-        b = np.exp(-np.sum(x * x, axis=-1) / 2.0)
-        out = np.zeros(points.shape[:-1] + (6,))
-        out[..., 5] = b  # purely spatial slot
-        out[..., 2] = 0.7 * b  # slot with a time leg
-        return out
-
-    lam = FormField(4, 2, lam_comps, stationary=True)
-
-    def u_func(points):
-        points = np.asarray(points, float)
-        return np.broadcast_to(np.eye(4)[0], points.shape[:-1] + (4,))
-
-    U = VectorField(u_func, stationary=True)
-
-    def phi_func(points):
-        points = np.asarray(points, float)
-        r2 = np.sum(points[..., 1:] ** 2, axis=-1)
-        return np.exp(-r2 / 4.0) * points[..., 1]
-
-    phi = ScalarField(phi_func, stationary=True)
-    patch = HyperplanePatch.time_slice(sig, half_widths=6.0, grid=(48,))
+    patch = HyperplanePatch.time_slice(SIG, half_widths=6.0, grid=(48,))
     records = []
-    for g, label in ((eta, "flat"), (curved, "curved")):
-        J, calJ = exact_current_factory(lam, g, h=h)
-        out = geometric_laue_residuals(J, U, phi, patch, g, h=h)
+    for g, label in ((ETA, "flat"), (CURVED_METRIC, "curved")):
+        J, _ = exact_current_factory(LAM, g, h=h)
+        out = geometric_laue_residuals(J, TIME_TRANSLATION, PHI, patch, g, h=h)
         grid, spread = f"{label}:N=48", abs(out.rB - out.rC)
         records += [
             IntegralRecord.gated(f"exact_integral[{label}]", out.rA, 1e-6, grid, h=h),
@@ -480,14 +528,11 @@ def run_geometric_suite(seed: int, h: float = 1e-3):
         ]
     # the h^2-limited channel: closedness of the derived current measured
     # with a mismatched step (same-step evaluation is stencil-exact)
-    rng = rng_from_seed(seed)
-    probe = rng.uniform(-1.0, 1.0, (30, 4))
+    probe = rng_from_seed(seed).uniform(-1.0, 1.0, (30, 4))
     res = []
     for step in (2 * h, h):
-        J, _ = exact_current_factory(lam, eta, h=step)
-        res.append(
-            float(np.max(np.abs(vector_divergence(J, eta, step / 2)(probe))))
-        )
+        J, _ = exact_current_factory(LAM, ETA, h=step)
+        res.append(float(np.max(np.abs(vector_divergence(J, ETA, step / 2)(probe)))))
     ratio, good = _doubling_ratio(*res)
     records.append(
         IntegralRecord.gated("derived_current_divergence", res[1], 1e-6, "probe",
@@ -498,45 +543,20 @@ def run_geometric_suite(seed: int, h: float = 1e-3):
 
 def run_conservation_suite(h: float = 1e-3):
     from .checkers import conservation_check, divergence_volume_integral
-    from .fields import MetricField, VectorField
-    from .quadrature import HyperplanePatch
 
-    sig = Signature.mostly_minus(4)
-    eta = MetricField.minkowski(4)
+    def time_slice(t, n):
+        return HyperplanePatch.time_slice(SIG, t=t, half_widths=6.0, grid=(n,))
 
-    def conserved(points):
-        points = np.asarray(points, float)
-        t = points[..., 0]
-        x = points[..., 1:]
-        r2 = np.sum(x * x, axis=-1)
-        out = np.zeros(points.shape[:-1] + (4,))
-        out[..., 0] = -np.sin(t) * np.exp(-r2) * (3.0 - 2.0 * r2)
-        out[..., 1:] = np.cos(t)[..., None] * np.exp(-r2)[..., None] * x
-        return out
-
-    J = VectorField(conserved)
-    p1 = HyperplanePatch.time_slice(sig, t=0.0, half_widths=6.0, grid=(48,))
-    p2 = HyperplanePatch.time_slice(sig, t=0.7, half_widths=6.0, grid=(48,))
-    out = conservation_check(J, p1, p2, eta)
+    out = conservation_check(CONSERVED_CURRENT, time_slice(0.0, 48), time_slice(0.7, 48), ETA)
     # a current reaching the lateral boundary voids the comparison
     records = [
         IntegralRecord.gated("charge_difference", out.difference, 1e-8, "N=48",
                              passed=out.difference < 1e-8 and out.support_ok)
     ]
-
-    def sourced(points):
-        points = np.asarray(points, float)
-        out_ = np.zeros(points.shape[:-1] + (4,))
-        r2 = np.sum(points[..., 1:] ** 2, axis=-1)
-        out_[..., 0] = (1.0 + 0.5 * np.sin(points[..., 0])) * np.exp(-r2)
-        return out_
-
-    Js = VectorField(sourced)
     t0, t1 = 0.0, 0.9
-    p1 = HyperplanePatch.time_slice(sig, t=t0, half_widths=6.0, grid=(32,))
-    p2 = HyperplanePatch.time_slice(sig, t=t1, half_widths=6.0, grid=(32,))
-    res = conservation_check(Js, p1, p2, eta)
-    volume = divergence_volume_integral(Js, p1, t0, t1, eta, n_t=32, h=h)
+    p1 = time_slice(t0, 32)
+    res = conservation_check(SOURCED_CURRENT, p1, time_slice(t1, 32), ETA)
+    volume = divergence_volume_integral(SOURCED_CURRENT, p1, t0, t1, ETA, n_t=32, h=h)
     signed = res.charge_2 - res.charge_1
     rel = abs(volume - signed) / abs(signed)
     records.append(IntegralRecord.gated("source_volume_match", rel, 1e-4, "N=32", h=h))
@@ -544,49 +564,33 @@ def run_conservation_suite(h: float = 1e-3):
 
 
 def run_laue_command(args, cfg) -> tuple:
-    from .checkers import (
-        classical_laue_report,
-        equivariance_report,
-        fake_covariance_check,
-    )
-    from .poincare import compose, rotation, standard_boost, translation
+    from .checkers import classical_laue_report, equivariance_report, fake_covariance_check
     from .scenarios import build
 
     T, spec = build(args.scenario, **cfg.get(f"scenario.{args.scenario}", {}))
-    sig = Signature.mostly_minus(4)
     scale = args.grid_n / 48.0
     if args.check == "classical":
-        rep = classical_laue_report(T, spec, args.beta, sig, rel_tol=args.tol, scale=scale)
+        rep = classical_laue_report(T, spec, args.beta, SIG, rel_tol=args.tol, scale=scale)
         records = rep.records()
         if args.strict:
-            fine = classical_laue_report(T, spec, args.beta, sig, rel_tol=args.tol, scale=2 * scale)
+            fine = classical_laue_report(T, spec, args.beta, SIG, rel_tol=args.tol, scale=2 * scale)
             records.append(
                 IntegralRecord.gated("strict_recheck_four_vector", fine.four_vector_max_rel,
                                      args.tol, fine.grid,
                                      passed=fine.four_vector == rep.four_vector)
             )
         return records, _passed(records)
-    rng = rng_from_seed(args.seed)
-    g_list = []
-    for i in range(5):
-        g = compose(
-            standard_boost(1, float(rng.uniform(-0.6, 0.6))),
-            compose(
-                rotation(1, 2, float(rng.uniform(0, 2 * math.pi))),
-                translation(np.concatenate([[0.0], rng.uniform(-0.5, 0.5, 3)])),
-            ),
-        )
-        g_list.append((f"g{i}", g))
+    g_list = seeded_elements(args.seed)
     if args.check == "fake":
         records = [
             IntegralRecord.gated(f"fake_covariance[{label}]",
-                                 fake_covariance_check(T, spec, g, sig, scale=scale),
+                                 fake_covariance_check(T, spec, g, SIG, scale=scale),
                                  1e-6, spec.name)
             for label, g in g_list
         ]
         return records, _passed(records)
     entries = equivariance_report(
-        T, spec, np.zeros(4), g_list, sig, scale=scale,
+        T, spec, np.zeros(4), g_list, SIG, scale=scale,
         restricted=spec.conserved, outer=3e4 if spec.kind == "radial" else None,
     )
     records = [

@@ -1,8 +1,11 @@
 """Field builders shared by the test modules (imported by name, so they
 live outside ``conftest.py``, whose module name other test trees share)."""
 
+from dataclasses import replace
+
 import numpy as np
 
+from laue_lab.cli import CONSERVED_BLOB
 from laue_lab.exterior import Signature
 from laue_lab.fields import MetricField, ScalarField, SymTensorField, VectorField
 
@@ -25,32 +28,14 @@ def make_tilted_metric():
     return MetricField(Signature.mostly_minus(4), func, flat=False)
 
 
-def make_conserved_blob(rho0=1.0, amp=0.5):
-    """Static, smooth, rapidly decaying, analytically conserved T^{ab}.
-
-    The energy density is a Gaussian; the spatial stress block is the
-    double-curl form [delta_ab (r^2 - 2) - x_a x_b] exp(-r^2/2), whose
-    spatial divergence vanishes identically.
-    """
-
-    def func(points):
-        points = np.asarray(points, float)
-        x = points[..., 1:]
-        r2 = np.sum(x * x, axis=-1)
-        chi = amp * np.exp(-r2 / 2.0)
-        out = np.zeros(points.shape[:-1] + (4, 4))
-        out[..., 0, 0] = rho0 * np.exp(-r2 / 2.0)
-        for a in range(3):
-            for b in range(3):
-                out[..., 1 + a, 1 + b] = -x[..., a] * x[..., b] * chi
-            out[..., 1 + a, 1 + a] += (r2 - 2.0) * chi
-        return out
+def make_conserved_blob():
+    """The identities suite's static blob, whose spatial stress is
+    divergence-free by construction, with that zero divergence supplied."""
 
     def div_func(points):
-        points = np.asarray(points, float)
-        return np.zeros_like(points)
+        return np.zeros_like(np.asarray(points, float))
 
-    return SymTensorField(func, stationary=True, analytic_divergence=div_func)
+    return replace(CONSERVED_BLOB, analytic_divergence=div_func)
 
 
 def make_spatial_bump(width=2.0, amp=1.0):

@@ -14,6 +14,14 @@ from laue_lab.checkers import (
     geometric_laue_residuals,
     vector_divergence,
 )
+from laue_lab.cli import (
+    CONSERVED_CURRENT,
+    CURVED_METRIC,
+    LAM,
+    PHI,
+    SOURCED_CURRENT,
+    seeded_elements,
+)
 from laue_lab.exterior import Signature
 from laue_lab.fields import (
     FormField,
@@ -213,9 +221,7 @@ def spatial_current_from_blob(blob):
 def test_geometric_flat_recovery(conserved_blob):
     J = spatial_current_from_blob(conserved_blob)
     U = constant_field(basis_vec(0))
-    bump = make_spatial_bump(width=2.0)
-    phi = ScalarField(lambda pts: bump(pts) * np.asarray(pts)[..., 1], stationary=True)
-    out = geometric_laue_residuals(J, U, phi, blob_patch(64), ETA, h=1e-3)
+    out = geometric_laue_residuals(J, U, PHI, blob_patch(64), ETA, h=1e-3)
     assert out.divergence_residual < 1e-5
     assert out.symmetry_residual < 1e-9
     assert out.rA < 1e-5 and out.rB < 1e-5 and out.rC < 1e-5
@@ -228,44 +234,15 @@ def test_geometric_residuals_stay_small_under_refinement(conserved_blob):
     # current's closedness (tested separately with mismatched steps)
     J = spatial_current_from_blob(conserved_blob)
     U = constant_field(basis_vec(0))
-    bump = make_spatial_bump(width=2.0)
-    phi = ScalarField(lambda pts: bump(pts) * np.asarray(pts)[..., 1], stationary=True)
-    coarse = geometric_laue_residuals(J, U, phi, blob_patch(32), ETA, h=2e-3)
-    fine = geometric_laue_residuals(J, U, phi, blob_patch(64), ETA, h=1e-3)
+    coarse = geometric_laue_residuals(J, U, PHI, blob_patch(32), ETA, h=2e-3)
+    fine = geometric_laue_residuals(J, U, PHI, blob_patch(64), ETA, h=1e-3)
     assert max(coarse.rA, coarse.rB, coarse.rC) < 1e-6
     assert max(fine.rA, fine.rB, fine.rC) < 1e-6
 
 
-def curved_metric():
-    def func(points):
-        points = np.asarray(points, float)
-        out = np.zeros(points.shape[:-1] + (4, 4))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = -((1.0 + 0.1 * np.sin(points[..., 1])) ** 2)
-        out[..., 2, 2] = -1.0
-        out[..., 3, 3] = -1.0
-        return out
-
-    return MetricField(SIG, func, flat=False)
-
-
-def bump_two_form():
-    # carries both a purely spatial slot and a time-leg slot; the latter
-    # gives the derived current genuine spatial components
-    def comps(points):
-        points = np.asarray(points, float)
-        r2 = np.sum(points[..., 1:] ** 2, axis=-1)
-        out = np.zeros(points.shape[:-1] + (6,))
-        out[..., 5] = np.exp(-r2 / 2.0)  # theta2 ^ theta3 slot
-        out[..., 2] = 0.7 * np.exp(-r2 / 2.0)  # theta0 ^ theta3 slot
-        return out
-
-    return FormField(4, 2, comps, stationary=True)
-
-
 def test_geometric_curved_exact_current():
-    g = curved_metric()
-    J, calJ = exact_current_factory(bump_two_form(), g, h=1e-3)
+    g = CURVED_METRIC
+    J, calJ = exact_current_factory(LAM, g, h=1e-3)
     U = constant_field(basis_vec(0))
     phi = make_spatial_bump(width=2.0)
     out = geometric_laue_residuals(J, U, phi, blob_patch(48), g, h=1e-3)
@@ -309,7 +286,7 @@ def test_exact_current_divergence_stencil_exact():
     # the difference quotients exactly
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, (30, 4))
-    J, _ = exact_current_factory(bump_two_form(), ETA, h=1e-3)
+    J, _ = exact_current_factory(LAM, ETA, h=1e-3)
     assert np.max(np.abs(vector_divergence(J, ETA, 1e-3)(pts))) < 1e-15
 
 
@@ -320,14 +297,14 @@ def test_exact_current_divergence_converges():
     pts = rng.uniform(-1, 1, (30, 4))
     res = []
     for h in (2e-3, 1e-3):
-        J, _ = exact_current_factory(bump_two_form(), ETA, h=h)
+        J, _ = exact_current_factory(LAM, ETA, h=h)
         res.append(np.max(np.abs(vector_divergence(J, ETA, h / 2)(pts))))
     assert res[1] < 1e-6
     assert 2.5 < res[0] / res[1] < 6.0
 
 
 def test_exact_current_time_symmetry():
-    J, calJ = exact_current_factory(bump_two_form(), ETA)
+    J, calJ = exact_current_factory(LAM, ETA)
     from laue_lab.fields import lie_derivative
 
     U = constant_field(basis_vec(0))
@@ -337,8 +314,8 @@ def test_exact_current_time_symmetry():
 
 def test_exact_current_round_trip():
     # the dual of J_flat reproduces the exterior derivative of the potential
-    g = curved_metric()
-    J, calJ = exact_current_factory(bump_two_form(), g, h=1e-3)
+    g = CURVED_METRIC
+    J, calJ = exact_current_factory(LAM, g, h=1e-3)
     from laue_lab.exterior import hodge_comps
 
     pts = np.random.default_rng(7).uniform(-1, 1, (20, 4))
@@ -353,24 +330,9 @@ def test_exact_current_round_trip():
 # --- momentum-map covariance ---
 
 
-def seeded_isometries(k, seed=20240601):
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(k):
-        g = compose(
-            standard_boost(1, rng.uniform(-0.6, 0.6)),
-            compose(
-                rotation(1, 2, rng.uniform(0.0, 2 * math.pi)),
-                translation(np.concatenate([[0.0], rng.uniform(-0.5, 0.5, 3)])),
-            ),
-        )
-        out.append((f"g{i}", g))
-    return out
-
-
 def test_full_equivariance_on_nonconserved_shell():
     T, spec = build("coulomb_shell")
-    entries = equivariance_report(T, spec, np.zeros(4), seeded_isometries(2), scale=0.5)
+    entries = equivariance_report(T, spec, np.zeros(4), seeded_elements(20240601, k=2), scale=0.5)
     for e in entries:
         assert e.full_residual < 1e-9
 
@@ -398,7 +360,7 @@ def test_restricted_equivariance_requires_conserved():
     T, spec = build("coulomb_shell")
     with pytest.raises(ValueError, match="conserved"):
         equivariance_report(
-            T, spec, np.zeros(4), seeded_isometries(1), restricted=True
+            T, spec, np.zeros(4), seeded_elements(20240601, k=1), restricted=True
         )
 
 
@@ -425,29 +387,6 @@ def static_compact_current():
     return VectorField(func, stationary=True)
 
 
-def analytic_conserved_time_dependent():
-    # J^0 = -H(t) div F, J^i = h(t) F^i with F a compact spatial bump field;
-    # conservation holds exactly with H' = h
-    def F(x):
-        r2 = np.sum(x * x, axis=-1)
-        return np.exp(-r2)[..., None] * x  # radial bump field
-
-    def divF(x):
-        r2 = np.sum(x * x, axis=-1)
-        return np.exp(-r2) * (3.0 - 2.0 * r2)
-
-    def func(points):
-        points = np.asarray(points, float)
-        t = points[..., 0]
-        x = points[..., 1:]
-        out = np.zeros(points.shape[:-1] + (4,))
-        out[..., 0] = -np.sin(t) * divF(x)  # H = sin, h = cos
-        out[..., 1:] = np.cos(t)[..., None] * F(x)
-        return out
-
-    return VectorField(func, stationary=False)
-
-
 def test_conservation_static_current():
     J = static_compact_current()
     p1 = HyperplanePatch.time_slice(SIG, t=0.0, half_widths=6.0, grid=(40,))
@@ -458,24 +397,16 @@ def test_conservation_static_current():
 
 
 def test_conservation_time_dependent_current():
-    J = analytic_conserved_time_dependent()
     p1 = HyperplanePatch.time_slice(SIG, t=0.0, half_widths=6.0, grid=(48,))
     p2 = HyperplanePatch.time_slice(SIG, t=0.7, half_widths=6.0, grid=(48,))
-    out = conservation_check(J, p1, p2, ETA)
+    out = conservation_check(CONSERVED_CURRENT, p1, p2, ETA)
     assert out.support_ok
     assert out.difference < 1e-8
 
 
 def test_conservation_source_matches_volume_integral():
     # genuine source: J^0 = f(t) rho(x), spatial components zero
-    def func(points):
-        points = np.asarray(points, float)
-        out = np.zeros(points.shape[:-1] + (4,))
-        r2 = np.sum(points[..., 1:] ** 2, axis=-1)
-        out[..., 0] = (1.0 + 0.5 * np.sin(points[..., 0])) * np.exp(-r2)
-        return out
-
-    J = VectorField(func)
+    J = SOURCED_CURRENT
     t0, t1 = 0.0, 0.9
     p1 = HyperplanePatch.time_slice(SIG, t=t0, half_widths=6.0, grid=(32,))
     p2 = HyperplanePatch.time_slice(SIG, t=t1, half_widths=6.0, grid=(32,))

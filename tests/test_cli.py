@@ -246,6 +246,28 @@ def test_non_positive_grid_n_is_usage_error(capsys, argv, n):
     assert "--grid-n must be" in err
 
 
+# an unparsable value and a check that reads the key, for every [run] key
+# whose parser can fail (the str-parsed ones cannot)
+UNPARSABLE_RUN_VALUES = {
+    "seed": ("x", ["verify", "conservation"]),
+    "tol": ("abc", ["laue", "classical"]),
+    "grid_n": ("1.5", ["scenario", "gaussian_dust"]),
+    "fd_h": ("abc", ["verify", "conservation"]),
+    "beta": ("0.3,x", ["laue", "classical"]),
+}
+
+
+@pytest.mark.parametrize("key", [k for k in cli.RUN_KEYS if cli.OPTIONS[k][1] is not str])
+def test_unparsable_run_value_names_its_key(tmp_path, capsys, key):
+    text, argv = UNPARSABLE_RUN_VALUES[key]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\n{key} = {text}\n")
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: [run] {key}: ")
+
+
 def test_non_positive_fd_h_config_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nfd_h = 0\n")
@@ -469,12 +491,14 @@ def test_benchmark_traced_mode_runs_a_scenario():
         "tracer = Tracer()\n"
         "tracer.install()\n"
         "from laue_lab.cli import main\n"
-        "code = main(['scenario', 'gaussian_dust', '--grid-n', '12'])\n"
+        "codes = [main(['scenario', 'gaussian_dust', '--grid-n', '12']),\n"
+        "         main(['verify', 'identities'])]\n"
         "print(json.dumps(sorted({span[0] for span in tracer.spans})))\n"
-        "sys.exit(code)\n"
+        "sys.exit(max(codes))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == EXIT_OK, proc.stderr
     names = json.loads(proc.stdout.splitlines()[-1])
-    assert {"cli", "scenarios", "quadrature.rule", "quadrature.reduce", "fields.eval"} <= set(names)
+    assert {"cli", "scenarios", "quadrature.rule", "quadrature.reduce", "fields.eval",
+            "fields.fd"} <= set(names)

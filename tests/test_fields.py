@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from laue_lab.cli import CURVED_METRIC
 from laue_lab.exterior import Signature, multi_indices
 from laue_lab.fields import (
     FormField,
@@ -50,20 +51,6 @@ def basis_vec(i, n=4):
     v = np.zeros(n)
     v[i] = 1.0
     return v
-
-
-def curved_diag_metric():
-    # g_11 = -(1 + 0.1 sin x1)^2, other entries Minkowski
-    def func(points):
-        points = np.asarray(points, float)
-        out = np.zeros(points.shape[:-1] + (4, 4))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = -((1.0 + 0.1 * np.sin(points[..., 1])) ** 2)
-        out[..., 2, 2] = -1.0
-        out[..., 3, 3] = -1.0
-        return out
-
-    return MetricField(SIG, func, flat=False)
 
 
 # --- fd_partial ---
@@ -165,7 +152,7 @@ def test_divergence_uses_analytic_hook(conserved_blob, eta4):
 
 def test_divergence_curved_metric_of_metric_itself():
     # nabla g = 0, so T = g^{-1}-like inverse metric is divergence free
-    g = curved_diag_metric()
+    g = CURVED_METRIC
 
     def func(points):
         return np.linalg.inv(g(points))
@@ -227,7 +214,7 @@ def test_killing_residual_scaling_field(eta4, sample_points4):
 
 
 def test_killing_residual_rotation_on_curved_metric(sample_points4):
-    g = curved_diag_metric()
+    g = CURVED_METRIC
     xi = PoinLieElement(np.zeros(4), wedge_vectors(basis_vec(1), basis_vec(2)))
     K = VectorField(fundamental_field(xi, np.zeros(4), SIG))
     assert killing_residual(K, g, sample_points4) > 1e-3
@@ -552,7 +539,7 @@ def test_identity_residuals_trace_term_matters(conserved_blob, eta4, sample_poin
 
 def test_identity_residuals_curved_metric(sample_points4):
     # T = inverse metric is covariantly conserved for any metric
-    g = curved_diag_metric()
+    g = CURVED_METRIC
     T = SymTensorField(lambda pts: np.linalg.inv(g(pts)), stationary=True)
     K = constant_field(basis_vec(2))  # Killing for this metric
     pts = 0.4 * np.asarray(sample_points4)
@@ -589,7 +576,7 @@ def test_christoffels_flat_are_zero(eta4):
 
 
 def test_custom_metric_is_not_flat_by_default(sample_points4):
-    curved = curved_diag_metric()
+    curved = CURVED_METRIC
     g = MetricField(SIG, curved.func)
     assert MetricField(SIG).flat and not g.flat
     gamma = christoffels(g)(sample_points4)
@@ -599,7 +586,7 @@ def test_custom_metric_is_not_flat_by_default(sample_points4):
 
 def test_christoffels_curved_match_analytic():
     # g_11 = -f(x1)^2 gives Gamma^1_11 = f'/f, all else zero
-    g = curved_diag_metric()
+    g = CURVED_METRIC
     pts = np.zeros((7, 4))
     pts[:, 1] = np.linspace(-1, 1, 7)
     G = christoffels(g, 1e-4)(pts)
