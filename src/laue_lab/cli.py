@@ -317,12 +317,12 @@ CONSERVED_CURRENT = VectorField(_conserved_current)
 SOURCED_CURRENT = VectorField(_sourced_current)  # div J = 0.5 cos t exp(-r^2)
 
 
-def seeded_elements(seed: int, k: int = 5):
-    """k labelled Poincare elements, each a boost along x1 after a 1-2
+def seeded_elements(seed: int):
+    """Five labelled Poincare elements, each a boost along x1 after a 1-2
     rotation after a spatial translation, drawn in a fixed order."""
     rng = rng_from_seed(seed)
     out = []
-    for i in range(k):
+    for i in range(5):
         g = compose(
             standard_boost(1, float(rng.uniform(-0.6, 0.6))),
             compose(

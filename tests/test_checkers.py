@@ -332,7 +332,7 @@ def test_exact_current_round_trip():
 
 def test_full_equivariance_on_nonconserved_shell():
     T, spec = build("coulomb_shell")
-    entries = equivariance_report(T, spec, np.zeros(4), seeded_elements(20240601, k=2), scale=0.5)
+    entries = equivariance_report(T, spec, np.zeros(4), seeded_elements(20240601)[:2], scale=0.5)
     for e in entries:
         assert e.full_residual < 1e-9
 
@@ -360,7 +360,7 @@ def test_restricted_equivariance_requires_conserved():
     T, spec = build("coulomb_shell")
     with pytest.raises(ValueError, match="conserved"):
         equivariance_report(
-            T, spec, np.zeros(4), seeded_elements(20240601, k=1), restricted=True
+            T, spec, np.zeros(4), seeded_elements(20240601)[:1], restricted=True
         )
 
 
