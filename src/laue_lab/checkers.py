@@ -23,6 +23,7 @@ from .fields import (
     SymTensorField,
     VectorField,
     _central,
+    _volume_insert,
     active_transform,
     boost_emt_analytic,
     dual_form,
@@ -316,7 +317,6 @@ def geometric_laue_residuals(
     pts_probe = patch.points(nodes[idx])
 
     calJ = dual_form(J, g)
-    calU = dual_form(U, g)
 
     # preconditions, reported rather than assumed
     div_res = float(np.max(np.abs(vector_divergence(J, g, h)(pts_probe))))
@@ -342,8 +342,10 @@ def geometric_laue_residuals(
     rA = abs(integrate_form(FormField(n, n - 1, integrand_A), patch))
 
     def integrand_B(points):
-        u_phi, j_phi, _, _ = pairings(points)
-        return u_phi[..., None] * calJ(points) - j_phi[..., None] * calU(points)
+        # i_J mu and i_U mu from the same samples of J and U as the pairings
+        u_phi, j_phi, u, j = pairings(points)
+        return (u_phi[..., None] * _volume_insert(j, g, points)
+                - j_phi[..., None] * _volume_insert(u, g, points))
 
     rB = abs(integrate_form(FormField(n, n - 1, integrand_B), patch))
 

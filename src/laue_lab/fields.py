@@ -109,14 +109,25 @@ class CoFormField:
 
 @dataclass
 class SymTensorField:
-    """Symmetric (2,0) tensor field T^{ab} (energy density units, c = 1)."""
+    """Symmetric (2,0) tensor field T^{ab} (energy density units, c = 1).
+
+    ``flux_func(points, n_low)`` optionally supplies the normal flux
+    T^{ab} n_b without forming the components; see :meth:`flux`.
+    """
 
     func: Callable
     stationary: bool = False
     analytic_divergence: Optional[Callable] = None
+    flux_func: Optional[Callable] = None
 
     def __call__(self, points):
         return np.asarray(self.func(np.asarray(points, float)), float)
+
+    def flux(self, points, n_low):
+        """The normal flux j^a = T^{ab} n_b per point, for a covector ``n_low``."""
+        if self.flux_func is not None:
+            return np.asarray(self.flux_func(np.asarray(points, float), n_low), float)
+        return np.einsum("...ab,b->...a", self(points), n_low)
 
 
 @dataclass
@@ -391,6 +402,9 @@ def active_transform(g_elt: PoincareElement, field):
     inverse, so composition order matches the group law.  Every rank is one
     constant matrix applied per node by :func:`poincare._matvec`; rank-2
     fields act on their flattened n*n components through a Kronecker square.
+    A pushed-forward (2,0) field takes its flux contract-first,
+    (g_* T)(., n) = A T(g^-1 x) (A^T n): the covector is pulled back once,
+    the source gives its own flux, and one n x n map acts per node.
     """
     ginv = invert(g_elt)
     A, Ainv = g_elt.A, ginv.A
@@ -408,7 +422,10 @@ def active_transform(g_elt: PoincareElement, field):
     if isinstance(field, VectorField):
         return VectorField(mapped(A))
     if isinstance(field, SymTensorField):
-        return SymTensorField(mapped(np.kron(A, A), rank=2))
+        def flux(points, n_low):
+            return _matvec(field.flux(ginv.apply(points), A.T @ n_low), A)
+
+        return SymTensorField(mapped(np.kron(A, A), rank=2), flux_func=flux)
     if isinstance(field, FormField):
         n, p = field.n, field.p
         if p == 0:

@@ -448,21 +448,22 @@ def _generator_pairing(sig: Signature):
 
 def _flux_moments(T: SymTensorField, patch: HyperplanePatch, n_low, origin: np.ndarray):
     """F0^a = sum w j^a and F1^{ac} = sum (w j^a) (x - origin)^c of the
-    normal flux j^a = T^{ab} n_b, contracted per node before the reduction
+    normal flux j^a = T^{ab} n_b, sampled per node by :meth:`SymTensorField.flux`
     (n + n^2 rows instead of the n^2 + n^3 of T and its first moment)."""
     n = patch.sig.n
 
-    def weighted_rows(Tv, pts, w):
+    def weighted_rows(jv, pts, w):
         m = len(pts)
         rows = np.empty((n + n * n, m))
-        np.einsum("mab,b->am", Tv, n_low, out=rows[:n])
-        rows[:n] *= w
+        np.multiply(jv.T, w, out=rows[:n])
         # a contiguous (x - origin)^T: a strided one doubled the F1 product's time
         x = np.subtract(pts.T, origin[:, None], out=np.empty((n, m)))
         np.multiply(rows[:n, None], x, out=rows[n:].reshape(n, n, m))
         return rows
 
-    sums = _reduce_patch(T, patch, _measure_factor(patch), weighted_rows)
+    sums = _reduce_patch(
+        lambda pts: T.flux(pts, n_low), patch, _measure_factor(patch), weighted_rows
+    )
     return sums[:n], sums[n:].reshape(n, n)
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import pathlib
 import subprocess
@@ -502,3 +503,16 @@ def test_benchmark_traced_mode_runs_a_scenario():
     names = json.loads(proc.stdout.splitlines()[-1])
     assert {"cli", "scenarios", "quadrature.rule", "quadrature.reduce", "fields.eval",
             "fields.fd"} <= set(names)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_benchmark_draws_the_cli_elements(monkeypatch, seed):
+    # perfbench's equivariance workload draws its elements with its own copy
+    # of the expressions in cli.seeded_elements; the two must stay the same
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    ours = workloads.setup("equivariance", seed)["g_list"]
+    theirs = cli.seeded_elements(seed)
+    assert [label for label, _ in ours] == [label for label, _ in theirs]
+    for (_, g_bench), (_, g_cli) in zip(ours, theirs):
+        assert np.array_equal(g_bench.A, g_cli.A) and np.array_equal(g_bench.a, g_cli.a)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from laue_lab.cli import CURVED_METRIC
+from laue_lab.cli import CURVED_METRIC, seeded_elements
 from laue_lab.exterior import Signature, multi_indices
 from laue_lab.fields import (
     FormField,
@@ -241,6 +241,45 @@ def test_active_transform_composition(static_dust):
     rhs = active_transform(g, active_transform(h, static_dust))
     pts = RNG.standard_normal((10, 4))
     assert np.allclose(lhs(pts), rhs(pts), atol=1e-12)
+
+
+def full_symmetric_field():
+    """A stationary field whose sixteen components are all nonzero."""
+    S = np.random.default_rng(42).standard_normal((4, 4))
+    S = S + S.T
+
+    def func(points):
+        points = np.asarray(points, float)
+        bump = np.exp(-0.5 * np.sum(points[..., 1:] ** 2, axis=-1))[..., None, None]
+        return bump * (S + np.einsum("...a,...b->...ab", points, points))
+
+    return SymTensorField(func, stationary=True)
+
+
+FLUX_N_LOW = SIG.matrix @ np.array([1.25, 0.75, 0.0, 0.0])  # a boosted unit normal, lowered
+
+
+def test_default_flux_is_component_einsum():
+    T = full_symmetric_field()
+    pts = RNG.standard_normal((3, 50, 4))
+    ref = np.einsum("...ab,b->...a", T(pts), FLUX_N_LOW)
+    assert np.array_equal(T.flux(pts, FLUX_N_LOW), ref)
+
+
+@pytest.mark.parametrize("label", ["g0", "g1", "g2", "g3", "g4", "g1 after g3"])
+def test_transformed_flux_matches_component_einsum(label):
+    # the contract-first flux A T(g^-1 x) (A^T n) against the 16 pushed components
+    elements = dict(seeded_elements(7))
+    T = full_symmetric_field()
+    if label == "g1 after g3":
+        T_g = active_transform(elements["g1"], active_transform(elements["g3"], T))
+    else:
+        T_g = active_transform(elements[label], T)
+    pts = RNG.standard_normal((3, 50, 4))
+    ref = np.einsum("...ab,b->...a", T_g(pts), FLUX_N_LOW)
+    got = T_g.flux(pts, FLUX_N_LOW)
+    assert got.shape == ref.shape and np.max(np.abs(ref)) > 0.1
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_boosted_static_dust_energy_density(static_dust):

@@ -664,18 +664,24 @@ def test_momentum_map_fluxes_match_moment_route():
     assert np.max(np.abs(mv.fluxes - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def nan_at_one_node():
-    """Static dust with a NaN sample at one node in the second tile."""
+def nan_at_one_node(a=slice(None), b=slice(None)):
+    """Static dust with NaN in its components [a, b] at one node in the
+    second tile.  The node is matched to within 1e-9, so that the source
+    field of a transformed patch, sampled at g^-1 of the image nodes, still
+    sees it."""
     patch = HyperplanePatch.time_slice(SIG, half_widths=2.0, grid=(48,))
     bad = patch.points()[100_000]
     dust = make_static_dust(1.0, 0.7)
 
     def func(points):
         out = dust(points)
-        out[np.all(points == bad, axis=-1)] = np.nan
+        out[np.all(np.abs(points - bad) < 1e-9, axis=-1), a, b] = np.nan
         return out
 
     return SymTensorField(func, stationary=True), patch
+
+
+NAN_G = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translation([0.2, -0.1, 0.3, 0.5])))
 
 
 @pytest.mark.parametrize(
@@ -684,18 +690,31 @@ def nan_at_one_node():
         lambda T, patch: four_momentum(T, patch),
         lambda T, patch: laue_integrals(T, patch),
         lambda T, patch: momentum_map(T, patch, np.zeros(4)),
+        lambda T, patch: momentum_map(
+            active_transform(NAN_G, T), transform_patch(NAN_G, patch), np.zeros(4)
+        ),
         lambda T, patch: tolman_weak_ep(T, -1.0, patch),
         lambda T, patch: integrate_form(FormField(4, 3, lambda p: T(p)[..., 0, :]), patch),
         lambda T, patch: integrate_scalar_density(lambda p: T(p)[..., 0, 0], patch),
         lambda T, patch: gauss_residual(T, ScalarField(lambda p: np.sin(p[..., 1])), patch),
     ],
-    ids=["four_momentum", "laue_integrals", "momentum_map", "tolman_weak_ep",
-         "integrate_form", "integrate_scalar_density", "gauss_residual"],
+    ids=["four_momentum", "laue_integrals", "momentum_map", "transformed_momentum_map",
+         "tolman_weak_ep", "integrate_form", "integrate_scalar_density", "gauss_residual"],
 )
 def test_non_finite_sample_raises_everywhere(integral):
     T, patch = nan_at_one_node()
     with pytest.raises(FloatingPointError, match="non-finite sample"):
         integral(T, patch)
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (0, 1), (1, 2), (2, 3), (3, 3)])
+def test_transformed_flux_raises_on_any_non_finite_component(a, b):
+    # the transformed field never forms its 16 components: the source's flux is
+    # taken against the pulled-back normal, and a NaN in any one source
+    # component must still surface
+    T, patch = nan_at_one_node(a, b)
+    with pytest.raises(FloatingPointError, match="non-finite sample"):
+        momentum_map(active_transform(NAN_G, T), transform_patch(NAN_G, patch), np.zeros(4))
 
 
 @pytest.mark.parametrize("where", ["T", "phi"])
