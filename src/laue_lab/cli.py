@@ -118,7 +118,7 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 # name -> (argparse keywords, [run] key parser or None, default).  Every
 # check reads COMMON; CHECKS (below the runners) names what else it reads,
 # and its parser accepts only those flags.
-COMMON = ("seed", "format", "out")
+COMMON = ("format", "out")
 OPTIONS = {
     "seed": (dict(type=int, help="RNG seed (Philox)"), int, 7),
     "format": (dict(choices=FORMATS), str, "csv"),
@@ -257,9 +257,9 @@ def _lam(points):
     return out
 
 
-LAM = FormField(4, 2, _lam, stationary=True)  # 2-form potential of the exact currents
+LAM = FormField(4, 2, _lam)  # 2-form potential of the exact currents
 TIME_TRANSLATION = VectorField(
-    lambda points: np.broadcast_to(np.eye(4)[0], np.shape(points)[:-1] + (4,)), stationary=True
+    lambda points: np.broadcast_to(np.eye(4)[0], np.shape(points)[:-1] + (4,))
 )
 
 
@@ -269,7 +269,7 @@ def _phi(points):
     return np.exp(-r2 / 4.0) * points[..., 1]
 
 
-PHI = ScalarField(_phi, stationary=True)  # geometric test function exp(-r^2/4) x1
+PHI = ScalarField(_phi)  # geometric test function exp(-r^2/4) x1
 
 
 def _conserved_blob(points):
@@ -288,7 +288,7 @@ def _conserved_blob(points):
     return out
 
 
-CONSERVED_BLOB = SymTensorField(_conserved_blob, stationary=True)
+CONSERVED_BLOB = SymTensorField(_conserved_blob)
 ROTATION_12 = VectorField(
     fundamental_field(PoinLieElement(np.zeros(4), wedge_vectors(*np.eye(4)[1:3])), np.zeros(4), SIG)
 )
@@ -618,20 +618,22 @@ def run_scenario_command(args, cfg) -> tuple:
 
 # (command, check) -> (flags and [run] keys read beyond COMMON, runner)
 CHECKS = {
-    ("verify", "algebra"): ((), lambda args, cfg: run_algebra_suite(args.seed)),
-    ("verify", "poincare"): ((), lambda args, cfg: run_poincare_suite(args.seed)),
+    ("verify", "algebra"): (("seed",), lambda args, cfg: run_algebra_suite(args.seed)),
+    ("verify", "poincare"): (("seed",), lambda args, cfg: run_poincare_suite(args.seed)),
     ("verify", "identities"): (
-        ("fd_h", "strict"),
+        ("seed", "fd_h", "strict"),
         lambda args, cfg: run_identities_suite(args.seed, args.fd_h, args.strict),
     ),
     ("verify", "geometric"): (
-        ("fd_h",), lambda args, cfg: run_geometric_suite(args.seed, args.fd_h)
+        ("seed", "fd_h"), lambda args, cfg: run_geometric_suite(args.seed, args.fd_h)
     ),
     ("verify", "conservation"): (("fd_h",), lambda args, cfg: run_conservation_suite(args.fd_h)),
     ("laue", "classical"): (("scenario", "beta", "tol", "grid_n", "strict"), run_laue_command),
-    ("laue", "fake"): (("scenario", "grid_n"), run_laue_command),
-    ("laue", "equivariance"): (("scenario", "grid_n"), run_laue_command),
-    ("scenario", None): (("grid_n",), run_scenario_command),
+    ("laue", "fake"): (("seed", "scenario", "grid_n"), run_laue_command),
+    ("laue", "equivariance"): (("seed", "scenario", "grid_n"), run_laue_command),
+    # scenario reads no seed; it accepts --seed because perfbench/workloads.py
+    # passes it to every CLI workload
+    ("scenario", None): (("seed", "grid_n"), run_scenario_command),
 }
 
 

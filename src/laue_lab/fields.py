@@ -60,7 +60,6 @@ class ScalarField:
 
     func: Callable
     grad: Optional[Callable] = None
-    stationary: bool = False
 
     def __call__(self, points):
         return np.asarray(self.func(np.asarray(points, float)), float)
@@ -77,7 +76,6 @@ class ScalarField:
 @dataclass
 class VectorField:
     func: Callable
-    stationary: bool = False
 
     def __call__(self, points):
         return np.asarray(self.func(np.asarray(points, float)), float)
@@ -90,7 +88,6 @@ class FormField:
     n: int
     p: int
     func: Callable
-    stationary: bool = False
 
     def __call__(self, points):
         return np.asarray(self.func(np.asarray(points, float)), float)
@@ -116,7 +113,6 @@ class SymTensorField:
     """
 
     func: Callable
-    stationary: bool = False
     analytic_divergence: Optional[Callable] = None
     flux_func: Optional[Callable] = None
 
@@ -271,7 +267,7 @@ def christoffels(g: MetricField, h: float = DEFAULT_H):
 def divergence(T: SymTensorField, g: MetricField, h: float = DEFAULT_H) -> VectorField:
     """Covariant divergence (nabla . T)^a; flat charts reduce to d_b T^{ab}."""
     if T.analytic_divergence is not None:
-        return VectorField(T.analytic_divergence, stationary=T.stationary)
+        return VectorField(T.analytic_divergence)
     gamma = christoffels(g, h)
 
     def func(points):
@@ -285,7 +281,7 @@ def divergence(T: SymTensorField, g: MetricField, h: float = DEFAULT_H) -> Vecto
             out = out + np.einsum("...bbc,...ac->...a", G, Tv)
         return out
 
-    return VectorField(func, stationary=T.stationary)
+    return VectorField(func)
 
 
 def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
@@ -529,16 +525,12 @@ def current_from_killing(T: SymTensorField, K: VectorField, g: MetricField):
         gv = g(points)
         return np.einsum("...ac,...c,...ab->...b", gv, K(points), T(points))
 
-    J = VectorField(j_func, stationary=T.stationary and K.stationary)
+    J = VectorField(j_func)
     return J, dual_form(J, g)
 
 
 def identity_residuals(
-    T: SymTensorField,
-    K: VectorField,
-    g: MetricField,
-    h: float = DEFAULT_H,
-    samples=None,
+    T: SymTensorField, K: VectorField, g: MetricField, h: float, samples
 ) -> tuple:
     """Residuals of the two exterior-derivative identities for the
     energy-momentum form.
@@ -582,10 +574,19 @@ def identity_residuals(
     return r1, r2
 
 
-def stationarity_residual(field, h: float = DEFAULT_H, samples=None) -> float:
-    """Max |central time derivative| over the samples."""
+def _require_finite(vals, points):
+    """Raise FloatingPointError at the first non-finite row of ``vals``, one per point."""
+    if not np.all(np.isfinite(vals)):
+        bad = np.argwhere(~np.isfinite(vals))[0]
+        raise FloatingPointError(f"non-finite sample near point {points[bad[0]]}")
+
+
+def stationarity_residual(field, h: float, samples) -> float:
+    """Max |central time derivative| over the samples; a non-finite one raises."""
     points = np.asarray(samples, float)
-    return float(np.max(np.abs(_central(field, points, 0, h))))
+    dt = _central(field, points, 0, h)
+    _require_finite(dt, points)
+    return float(np.max(np.abs(dt)))
 
 
 def symmetry_residual(T: SymTensorField, samples) -> float:

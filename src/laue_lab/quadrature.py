@@ -131,7 +131,8 @@ def box_rule(half_widths, grid):
 
 @dataclass(frozen=True)
 class HyperplanePatch:
-    """Oriented bounded flat (n-1)-patch with unit non-null normal.
+    """Bounded flat (n-1)-patch with unit non-null normal, oriented by the
+    handedness of its tangent frame (:meth:`frame_phase`).
 
     ``tangent_frame`` rows are eta-orthonormal and eta-orthogonal to the
     normal.  ``rule_nodes``/``rule_weights`` override the default midpoint
@@ -145,7 +146,6 @@ class HyperplanePatch:
     half_widths: np.ndarray
     grid: tuple
     sig: Signature
-    orientation: int = 1
     rule_nodes: Optional[np.ndarray] = None
     rule_weights: Optional[np.ndarray] = None
 
@@ -170,8 +170,6 @@ class HyperplanePatch:
             raise ValueError("tangent frame is not eta-orthonormal")
         if np.max(np.abs(frame @ eta @ normal)) > 1e-12:
             raise ValueError("normal is not eta-orthogonal to the tangent frame")
-        if self.orientation not in (-1, 1):
-            raise ValueError("orientation must be +-1")
         if (hw <= 0).any() or len(self.grid) != n - 1 or any(g < 1 for g in self.grid):
             raise ValueError("half widths must be positive, grid at least 1 per axis")
         for name, val in (("origin", origin), ("tangent_frame", frame),
@@ -198,7 +196,6 @@ class HyperplanePatch:
         t: float = 0.0,
         half_widths=None,
         grid=None,
-        orientation: int = 1,
     ) -> "HyperplanePatch":
         """Constant-time slice x^0 = t with the spatial coordinate frame."""
         n = sig.n
@@ -212,7 +209,7 @@ class HyperplanePatch:
         grid = (32,) * (n - 1) if grid is None else tuple(np.atleast_1d(grid).astype(int))
         if len(grid) == 1:
             grid = grid * (n - 1)
-        return cls(origin, frame, normal, hw, grid, sig, orientation)
+        return cls(origin, frame, normal, hw, grid, sig)
 
     def with_rule(self, nodes: np.ndarray, weights: np.ndarray) -> "HyperplanePatch":
         return replace(self, rule_nodes=np.asarray(nodes, float),
@@ -248,7 +245,6 @@ class MomentumValue:
 
     lie: PoinLieElement
     fluxes: np.ndarray
-    origin: np.ndarray
 
     def components(self) -> np.ndarray:
         return self.lie.components()
@@ -290,7 +286,7 @@ def induced_measure(patch: HyperplanePatch):
 def _measure_factor(patch: HyperplanePatch) -> float:
     """Pullback of the induced measure onto the tangent frame (flat chart)."""
     sign = 1.0 if patch.normal_square() > 0 else -1.0
-    return sign * patch.frame_phase() * patch.orientation
+    return sign * patch.frame_phase()
 
 
 def _reduce_patch(func: Callable, patch: HyperplanePatch, factor: float, weighted_rows: Callable):
@@ -332,7 +328,7 @@ def integrate_form(omega, patch: HyperplanePatch) -> float:
     def pulled_back(vals, pts, w):
         return (np.sum(vals * dets, axis=1) * w)[None]
 
-    return float(_reduce_patch(omega, patch, patch.orientation, pulled_back)[0])
+    return float(_reduce_patch(omega, patch, 1.0, pulled_back)[0])
 
 
 def integrate_scalar_density(f, patch: HyperplanePatch, g: Optional[MetricField] = None) -> float:
@@ -467,12 +463,7 @@ def _flux_moments(T: SymTensorField, patch: HyperplanePatch, n_low, origin: np.n
     return sums[:n], sums[n:].reshape(n, n)
 
 
-def momentum_map(
-    T: SymTensorField,
-    patch: HyperplanePatch,
-    origin: np.ndarray,
-    sig: Optional[Signature] = None,
-) -> MomentumValue:
+def momentum_map(T: SymTensorField, patch: HyperplanePatch, origin: np.ndarray) -> MomentumValue:
     """Fluxes of the generator currents through the patch, resolved in the
     Lie-algebra pairing.
 
@@ -481,7 +472,7 @@ def momentum_map(
     pairing(value, xi_i) = flux_i.  The translation sector reproduces
     :func:`four_momentum`.
     """
-    sig = sig or patch.sig
+    sig = patch.sig
     n = sig.n
     origin = np.asarray(origin, float)
     F0, F1 = _flux_moments(T, patch, sig.matrix @ patch.normal, origin)
@@ -492,7 +483,7 @@ def momentum_map(
     except np.linalg.LinAlgError as exc:  # cannot occur for this pairing
         raise RuntimeError("degenerate generator pairing") from exc
     lie = PoinLieElement(coeffs[:n], coeffs[n:])
-    return MomentumValue(lie, fluxes, origin)
+    return MomentumValue(lie, fluxes)
 
 
 # --- radially adapted rules for 1/r^4 scenario tails ---
@@ -509,11 +500,7 @@ def _simpson(n: int) -> np.ndarray:
     return coeff
 
 
-def spherical_rule(
-    segments,
-    n_theta: int = 48,
-    n_phi: int = 48,
-):
+def spherical_rule(segments, n_theta: int, n_phi: int):
     """Product rule on R^3: per-segment Simpson in radius (optionally on a
     log grid), midpoint in cos(theta) and phi.
 

@@ -326,7 +326,7 @@ def build(name: str, **params):
     typed by :func:`scenario_params`, then the scenario checks their ranges."""
     params = scenario_params(name, params)
     func, spec = _SCENARIOS[name](**params)
-    return SymTensorField(func, stationary=spec.stationary), spec
+    return SymTensorField(func), spec
 
 
 def tolman_weak_ep(T: SymTensorField, phi_value: float, patch: HyperplanePatch):

@@ -54,7 +54,7 @@ def make_spatial_bump(width=2.0, amp=1.0):
         out[..., 1:] = -2.0 * points[..., 1:] / width**2 * val[..., None]
         return out
 
-    return ScalarField(func, grad=grad, stationary=True)
+    return ScalarField(func, grad=grad)
 
 
 def make_static_dust(rho0=1.0, sigma=1.0):
@@ -65,7 +65,7 @@ def make_static_dust(rho0=1.0, sigma=1.0):
         out[..., 0, 0] = rho0 * np.exp(-r2 / sigma**2)
         return out
 
-    return SymTensorField(func, stationary=True)
+    return SymTensorField(func)
 
 
 def constant_field(v):
@@ -75,4 +75,4 @@ def constant_field(v):
         points = np.asarray(points, float)
         return np.broadcast_to(v, points.shape[:-1] + v.shape)
 
-    return VectorField(func, stationary=True)
+    return VectorField(func)

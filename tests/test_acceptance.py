@@ -205,7 +205,7 @@ def test_criterion_7_geometric_version():
     def spatial_current(points):
         return -CONSERVED_BLOB(points)[..., 1, :]
 
-    J_flat = VectorField(spatial_current, stationary=True)
+    J_flat = VectorField(spatial_current)
     patch = HyperplanePatch.time_slice(SIG, half_widths=6.0, grid=(48,))
     flat = geometric_laue_residuals(J_flat, TIME_TRANSLATION, PHI, patch, ETA, h=1e-3)
     # the curved exact current and the O(h^2) channel (the derived current's
@@ -261,7 +261,7 @@ def test_criterion_9_form_identities():
     ratio_flat = r2_c / r2_f
 
     g = CURVED_METRIC
-    T_c = SymTensorField(lambda p: np.linalg.inv(g(p)), stationary=True)
+    T_c = SymTensorField(lambda p: np.linalg.inv(g(p)))
     K_c = constant_field(np.eye(4)[2])
     pts_c = 0.4 * pts
     r1_curved_f, _ = identity_residuals(T_c, K_c, g, 1e-3, pts_c)

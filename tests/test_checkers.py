@@ -197,7 +197,7 @@ def test_gauss_residual_detects_nonconservation():
         out[..., 1, 1] = points[..., 1] * np.exp(-r2)  # d_1 T^{11} != 0
         return out
 
-    T = SymTensorField(func, stationary=True)
+    T = SymTensorField(func)
     phi = make_spatial_bump(width=1.5)
     assert gauss_residual(T, phi, blob_patch(48)) > 1e-3
 
@@ -215,7 +215,7 @@ def spatial_current_from_blob(blob):
     def func(points):
         return -blob(points)[..., 1, :]
 
-    return VectorField(func, stationary=True)
+    return VectorField(func)
 
 
 def test_geometric_flat_recovery(conserved_blob):
@@ -384,7 +384,7 @@ def static_compact_current():
         out[..., 0] = np.exp(-r2)
         return out
 
-    return VectorField(func, stationary=True)
+    return VectorField(func)
 
 
 def test_conservation_static_current():

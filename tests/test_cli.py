@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import pathlib
@@ -250,7 +251,7 @@ def test_non_positive_grid_n_is_usage_error(capsys, argv, n):
 # an unparsable value and a check that reads the key, for every [run] key
 # whose parser can fail (the str-parsed ones cannot)
 UNPARSABLE_RUN_VALUES = {
-    "seed": ("x", ["verify", "conservation"]),
+    "seed": ("x", ["verify", "algebra"]),
     "tol": ("abc", ["laue", "classical"]),
     "grid_n": ("1.5", ["scenario", "gaussian_dust"]),
     "fd_h": ("abc", ["verify", "conservation"]),
@@ -358,6 +359,8 @@ def test_failed_strict_recheck_exits_verdict(capsys):
         ["verify", "poincare", "--grid-n", "24"],
         ["verify", "identities", "--tol", "1"],
         ["verify", "conservation", "--grid-n", "24"],
+        ["verify", "conservation", "--seed", "3"],
+        ["laue", "classical", "--seed", "3"],
     ],
 )
 def test_unread_flag_is_usage_error(capsys, argv):
@@ -373,6 +376,7 @@ def test_unread_flag_is_usage_error(capsys, argv):
         ("fd_h = 0.01", ["laue", "fake"]),
         ("beta = 0.3", ["laue", "equivariance"]),
         ("scenario = coulomb_shell", ["scenario", "gaussian_dust"]),
+        ("seed = 3", ["laue", "classical"]),
     ],
 )
 def test_unread_config_key_is_usage_error(tmp_path, capsys, key, argv):
@@ -382,6 +386,32 @@ def test_unread_config_key_is_usage_error(tmp_path, capsys, key, argv):
     assert code == EXIT_USAGE
     assert out == ""
     assert "is not read by" in err
+
+
+@pytest.mark.parametrize("command, check", list(cli.CHECKS))
+def test_every_accepted_flag_is_read(monkeypatch, command, check):
+    # main reads --format and --out (and the global --config); each runner
+    # must read every other flag its parser accepts.  scenario takes --seed
+    # unread because perfbench/workloads.py passes it to every CLI workload.
+    for suite in ("algebra", "poincare", "identities", "geometric", "conservation"):
+        monkeypatch.setattr(cli, f"run_{suite}_suite", lambda *args: ([], True))
+    argv = [command] + ([check] if check else ["gaussian_dust"])
+    if command != "verify":
+        argv += ["--grid-n", "12"]
+    flags, runner = cli.CHECKS[command, check]
+    args = cli._apply_config(cli.build_parser().parse_args(argv), {}, flags)
+    reads = set()
+
+    class ReadRecorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    runner(ReadRecorder(**vars(args)), {})
+    exempt = {"command", "check", "config", "format", "out"}
+    if command == "scenario":
+        exempt.add("seed")
+    assert set(vars(args)) - exempt - reads == set()
 
 
 def test_unknown_config_format_is_usage_error(tmp_path, capsys):

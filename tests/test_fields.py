@@ -137,7 +137,7 @@ def test_divergence_of_linear_stress(eta4):
 
 def test_divergence_of_conserved_blob(conserved_blob, eta4):
     # measured through finite differences, not the analytic hook
-    T = SymTensorField(conserved_blob.func, stationary=True)
+    T = SymTensorField(conserved_blob.func)
     pts = RNG.uniform(-1.5, 1.5, (25, 4))
     r_h = np.max(np.abs(divergence(T, eta4, 2e-3)(pts)))
     r_h2 = np.max(np.abs(divergence(T, eta4, 1e-3)(pts)))
@@ -157,7 +157,7 @@ def test_divergence_curved_metric_of_metric_itself():
     def func(points):
         return np.linalg.inv(g(points))
 
-    T = SymTensorField(func, stationary=True)
+    T = SymTensorField(func)
     pts = RNG.uniform(-0.5, 0.5, (20, 4))
     div = divergence(T, g, 1e-3)
     assert np.max(np.abs(div(pts))) < 1e-7
@@ -253,7 +253,7 @@ def full_symmetric_field():
         bump = np.exp(-0.5 * np.sum(points[..., 1:] ** 2, axis=-1))[..., None, None]
         return bump * (S + np.einsum("...a,...b->...ab", points, points))
 
-    return SymTensorField(func, stationary=True)
+    return SymTensorField(func)
 
 
 FLUX_N_LOW = SIG.matrix @ np.array([1.25, 0.75, 0.0, 0.0])  # a boosted unit normal, lowered
@@ -540,7 +540,7 @@ def test_identity_residuals_flat_conserved_killing(conserved_blob, eta4, sample_
     # components the blob actually carries
     xi = PoinLieElement(np.zeros(4), wedge_vectors(basis_vec(1), basis_vec(2)))
     K = VectorField(fundamental_field(xi, np.zeros(4), SIG))
-    T = SymTensorField(conserved_blob.func, stationary=True)  # measure via fd
+    T = SymTensorField(conserved_blob.func)  # measure via fd
     r1, r2 = identity_residuals(T, K, eta4, 1e-3, sample_points4)
     # in a flat chart the first identity is stencil-exact (the fd divergence
     # and the fd exterior derivative share difference quotients)
@@ -579,7 +579,7 @@ def test_identity_residuals_trace_term_matters(conserved_blob, eta4, sample_poin
 def test_identity_residuals_curved_metric(sample_points4):
     # T = inverse metric is covariantly conserved for any metric
     g = CURVED_METRIC
-    T = SymTensorField(lambda pts: np.linalg.inv(g(pts)), stationary=True)
+    T = SymTensorField(lambda pts: np.linalg.inv(g(pts)))
     K = constant_field(basis_vec(2))  # Killing for this metric
     pts = 0.4 * np.asarray(sample_points4)
     r1, r2 = identity_residuals(T, K, g, 1e-3, pts)
@@ -601,7 +601,7 @@ def test_stationarity_residual(static_dust, sample_points4):
         out[..., 0, 0] = np.exp(-((points[..., 1] - 0.3 * points[..., 0]) ** 2))
         return out
 
-    T = SymTensorField(moving, stationary=False)
+    T = SymTensorField(moving)
     assert stationarity_residual(T, 1e-3, sample_points4) > 1e-3
 
 

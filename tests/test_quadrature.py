@@ -13,7 +13,7 @@ from laue_lab.exterior import (
     multi_indices,
     volume_form,
 )
-from laue_lab.checkers import gauss_residual
+from laue_lab.checkers import classical_laue_report, gauss_residual
 from laue_lab.fields import (
     FormField,
     MetricField,
@@ -403,7 +403,7 @@ def test_momentum_map_shifted_dust_matches_coadjoint_of_centered():
         points[..., 1] -= d
         return dust(points)
 
-    dust_shifted = SymTensorField(shifted, stationary=True)
+    dust_shifted = SymTensorField(shifted)
     patch = HyperplanePatch.time_slice(SIG, half_widths=6.0, grid=(64,))
     mv_shifted = momentum_map(dust_shifted, patch, np.zeros(4))
     mv_centered = momentum_map(dust, patch, np.zeros(4))
@@ -600,7 +600,7 @@ def test_patch_moments_bitwise_across_threads_and_whole_array(monkeypatch, two_c
     nodes, weights = patch.nodes_weights()
     pts = patch.points(nodes)
     Tv = dust(pts)
-    w = weights * (patch.orientation * patch.frame_phase())  # timelike normal
+    w = weights * patch.frame_phase()  # timelike normal
     wj = np.einsum("mab,b->am", Tv, n_low).T * w[:, None]  # the per-node flux, weighted
     M0_ref = [[recursive_pairwise_sum(Tv[:, a, b] * w) for b in range(4)] for a in range(4)]
     F0_ref = [recursive_pairwise_sum(wj[:, a]) for a in range(4)]
@@ -650,7 +650,7 @@ def test_momentum_map_fluxes_match_moment_route():
 
     nodes, weights = image.nodes_weights()
     pts = image.points(nodes)
-    wT = T_g(pts) * (weights * image.orientation * image.frame_phase())[:, None, None]
+    wT = T_g(pts) * (weights * image.frame_phase())[:, None, None]
     M0 = pairwise_sum(wT.reshape(-1, 16)).reshape(4, 4)
     M1 = pairwise_sum((wT[..., None] * (pts - origin)[:, None, None, :]).reshape(-1, 64))
     n_low = SIG.matrix @ image.normal
@@ -678,7 +678,21 @@ def nan_at_one_node(a=slice(None), b=slice(None)):
         out[np.all(np.abs(points - bad) < 1e-9, axis=-1), a, b] = np.nan
         return out
 
-    return SymTensorField(func, stationary=True), patch
+    return SymTensorField(func), patch
+
+
+def nan_off_slice():
+    """Static dust that is NaN only where |t| > 0.5: every slice integral at
+    t = 0 is finite, and only the stationarity probe of the boost report
+    samples the NaN."""
+    dust = make_static_dust(1.0, 0.4)
+
+    def func(points):
+        out = dust(points)
+        out[np.abs(points[..., 0]) > 0.5] = np.nan
+        return out
+
+    return SymTensorField(func)
 
 
 NAN_G = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translation([0.2, -0.1, 0.3, 0.5])))
@@ -697,9 +711,13 @@ NAN_G = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translatio
         lambda T, patch: integrate_form(FormField(4, 3, lambda p: T(p)[..., 0, :]), patch),
         lambda T, patch: integrate_scalar_density(lambda p: T(p)[..., 0, 0], patch),
         lambda T, patch: gauss_residual(T, ScalarField(lambda p: np.sin(p[..., 1])), patch),
+        lambda T, patch: classical_laue_report(
+            nan_off_slice(), HyperplanePatch.time_slice(SIG, half_widths=1.0, grid=(16,)), [0.3]
+        ),
     ],
     ids=["four_momentum", "laue_integrals", "momentum_map", "transformed_momentum_map",
-         "tolman_weak_ep", "integrate_form", "integrate_scalar_density", "gauss_residual"],
+         "tolman_weak_ep", "integrate_form", "integrate_scalar_density", "gauss_residual",
+         "classical_laue_report_stationarity"],
 )
 def test_non_finite_sample_raises_everywhere(integral):
     T, patch = nan_at_one_node()
