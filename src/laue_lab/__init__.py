@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .exterior import PForm, Signature, alt, hodge, inner_norm, insert, musical, volume_form, wedge
 from .poincare import (
-    AffineChartMap,
     PoincareElement,
     PoinLieElement,
     ad,

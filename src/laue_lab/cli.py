@@ -348,7 +348,7 @@ def _doubling_ratio(coarse: float, fine: float):
     return ratio, 3.0 < ratio < 5.0
 
 
-def run_algebra_suite(seed: int, n_random: int = 500, tol: float = 1e-12):
+def run_algebra_suite(seed: int):
     from .exterior import (
         PForm,
         hodge,
@@ -360,6 +360,7 @@ def run_algebra_suite(seed: int, n_random: int = 500, tol: float = 1e-12):
         wedge,
     )
 
+    n_random, tol = 500, 1e-12  # random n = 4 forms drawn; residual tolerance
     rng = rng_from_seed(seed)
     records = []
     for n in range(2, 7):
@@ -413,7 +414,7 @@ def run_algebra_suite(seed: int, n_random: int = 500, tol: float = 1e-12):
     return records, _passed(records)
 
 
-def run_poincare_suite(seed: int, n_random: int = 200, tol: float = 1e-10):
+def run_poincare_suite(seed: int):
     from .fields import killing_residual
     from .poincare import (
         ad,
@@ -426,6 +427,7 @@ def run_poincare_suite(seed: int, n_random: int = 200, tol: float = 1e-10):
     )
     from .quadrature import momentum_basis
 
+    n_random, tol = 200, 1e-10  # random element pairs drawn; group-law tolerance
     sig = Signature.mostly_minus(4)
     rng = rng_from_seed(seed)
 

@@ -165,8 +165,6 @@ class PForm:
         t = np.asarray(t, dtype=float)
         p = t.ndim
         n = t.shape[0] if p else 0
-        if p == 0:
-            return cls(0, 0, np.array([float(t)]))  # pragma: no cover - degenerate
         comps = np.array([t[idx] for idx in multi_indices(n, p)])
         return cls(n, p, comps)
 
@@ -178,21 +176,10 @@ class PForm:
                 t[perm] = perm_sign(perm) * self.comps[k]
         return t
 
-    def __add__(self, other: "PForm") -> "PForm":
-        self._check_same(other)
-        return PForm(self.n, self.p, self.comps + other.comps)
-
-    def __sub__(self, other: "PForm") -> "PForm":
-        self._check_same(other)
-        return PForm(self.n, self.p, self.comps - other.comps)
-
     def __mul__(self, c: float) -> "PForm":
         return PForm(self.n, self.p, self.comps * float(c))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "PForm":
-        return PForm(self.n, self.p, -self.comps)
 
     def _check_same(self, other: "PForm"):
         if self.n != other.n or self.p != other.p:

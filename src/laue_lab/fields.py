@@ -56,18 +56,14 @@ DEFAULT_H = 1e-3
 
 @dataclass
 class ScalarField:
-    """Scalar field; ``grad`` optionally supplies the analytic gradient."""
-
     func: Callable
-    grad: Optional[Callable] = None
 
     def __call__(self, points):
         return np.asarray(self.func(np.asarray(points, float)), float)
 
     def gradient(self, points, h: float = DEFAULT_H):
+        """Central-difference gradient, components (..., n)."""
         points = np.asarray(points, float)
-        if self.grad is not None:
-            return np.asarray(self.grad(points), float)
         if h <= 0:
             raise ValueError("step must be positive")
         return _fd_stack(self, points, h, -1)
@@ -113,7 +109,6 @@ class SymTensorField:
     """
 
     func: Callable
-    analytic_divergence: Optional[Callable] = None
     flux_func: Optional[Callable] = None
 
     def __call__(self, points):
@@ -193,31 +188,15 @@ def _fd_stack(f, points, h: float, axis: int):
 
 
 def fd_partial(f, direction: int, h: float = DEFAULT_H):
-    """Central-difference partial derivative along a chart axis.
-
-    Returns a field of the same kind; O(h^2) accurate on smooth fields.
-    """
+    """Central-difference partial derivative of a batched field along a chart
+    axis, as a batched callable; O(h^2) accurate on smooth fields."""
     if h <= 0:
         raise ValueError("step must be positive")
 
     def func(points):
         return _central(f, points, direction, h)
 
-    if isinstance(f, ScalarField):
-        return ScalarField(func)
-    if isinstance(f, VectorField):
-        return VectorField(func)
-    if isinstance(f, FormField):
-        return FormField(f.n, f.p, func)
-    if isinstance(f, SymTensorField):
-        return SymTensorField(func)
-    if isinstance(f, CoFormField):
-        return CoFormField(f.n, func)
-    if isinstance(f, (Cov2Field, MetricField)):
-        return Cov2Field(func)
-    if callable(f):
-        return func
-    raise TypeError(f"cannot differentiate {type(f)!r}")
+    return func
 
 
 def exterior_derivative(omega: FormField, h: float = DEFAULT_H) -> FormField:
@@ -266,8 +245,6 @@ def christoffels(g: MetricField, h: float = DEFAULT_H):
 
 def divergence(T: SymTensorField, g: MetricField, h: float = DEFAULT_H) -> VectorField:
     """Covariant divergence (nabla . T)^a; flat charts reduce to d_b T^{ab}."""
-    if T.analytic_divergence is not None:
-        return VectorField(T.analytic_divergence)
     gamma = christoffels(g, h)
 
     def func(points):
@@ -285,11 +262,11 @@ def divergence(T: SymTensorField, g: MetricField, h: float = DEFAULT_H) -> Vecto
 
 
 def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
-    """Lie derivative along V.
+    """Lie derivative along V of a form or a (0,2) field.
 
-    Forms use the symmetrised combination of d and insertion; vector and
-    tensor fields use the component formulas with central differences.
-    A MetricField argument returns a plain (0,2) field.
+    Forms use the symmetrised combination of d and insertion; a metric or
+    (0,2) field uses the component formula with central differences and
+    returns a plain (0,2) field.
     """
     if isinstance(field, FormField):
         n, p = field.n, field.p
@@ -312,30 +289,6 @@ def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
             return term1 + term2
 
         return FormField(n, p, func)
-
-    if isinstance(field, VectorField):
-        def func_vec(points):
-            points = np.asarray(points, float)
-            jV = _fd_stack(V, points, h, -1)
-            jW = _fd_stack(field, points, h, -1)
-            return np.einsum("...ad,...d->...a", jW, V(points)) - np.einsum(
-                "...ad,...d->...a", jV, field(points)
-            )
-
-        return VectorField(func_vec)
-
-    if isinstance(field, SymTensorField):
-        def func_t(points):
-            points = np.asarray(points, float)
-            dT = _fd_stack(field, points, h, -3)
-            jV = _fd_stack(V, points, h, -1)  # (..., a, d)
-            Tv = field(points)
-            out = np.einsum("...dab,...d->...ab", dT, V(points))
-            out -= np.einsum("...ac,...cb->...ab", jV, Tv)
-            out -= np.einsum("...bc,...ac->...ab", jV, Tv)
-            return out
-
-        return SymTensorField(func_t)
 
     if isinstance(field, (MetricField, Cov2Field)):
         def func_g(points):
@@ -380,13 +333,15 @@ def killing_residual(
     The first part checks nabla_a K_b + nabla_b K_a against (L_K g)_ab
     (an identity for the metric connection, so it only measures fd error);
     the second is max |(L_K g)_ab|, which vanishes exactly on Killing
-    fields.  The sum is returned.
+    fields.  The sum is returned; a non-finite sample raises.
     """
     points = np.asarray(sample_points, float)
     nabla = _nabla_K(K, g, points, h)
     sym = nabla + np.swapaxes(nabla, -1, -2)
     lie = lie_derivative(g, K, h)(points)
-    identity_part = float(np.max(np.abs(sym - lie)))
+    defect = sym - lie  # NaN wherever lie is, so this check covers both parts
+    _require_finite(defect, points)
+    identity_part = float(np.max(np.abs(defect)))
     killing_part = float(np.max(np.abs(lie)))
     return identity_part + killing_part
 
@@ -537,7 +492,7 @@ def identity_residuals(
 
     r1: max |(D calT)_a - (div T)_a eps| over samples and value slots;
     r2: max |d(calT_K) - (K_a (div T)^a + T^{ab} nabla_a K_b) eps|.
-    Both are O(h^2) on smooth inputs.
+    Both are O(h^2) on smooth inputs; a non-finite sample raises.
     """
     n = g.n
     points = np.asarray(samples, float)
@@ -549,7 +504,6 @@ def identity_residuals(
 
     gamma = christoffels(g, h)(points) if not g.flat else None
 
-    r1 = 0.0
     row_forms = [
         FormField(n, n - 1, (lambda a: lambda pts: calT(pts)[..., a, :])(a))
         for a in range(n)
@@ -563,14 +517,17 @@ def identity_residuals(
                 one_form = gamma[..., b, :, a]
                 corr = wedge_comps(one_form, 1, calT_v[..., b, :], n - 1, n)
                 d_rows[a] = d_rows[a] - corr[..., 0]
-    for a in range(n):
-        r1 = max(r1, float(np.max(np.abs(d_rows[a] - div_low[..., a] * eps))))
+    defect = np.stack([d_rows[a] - div_low[..., a] * eps for a in range(n)], axis=-1)
+    _require_finite(defect, points)
+    r1 = float(np.max(np.abs(defect)))
 
     tk = contract_coform(calT, K)
     lhs = exterior_derivative(tk, h)(points)[..., 0]
     trace_term = np.einsum("...ab,...ab->...", T(points), _nabla_K(K, g, points, h))
     rhs = (np.einsum("...a,...a->...", K(points), div_low) + trace_term) * eps
-    r2 = float(np.max(np.abs(lhs - rhs)))
+    defect = lhs - rhs
+    _require_finite(defect, points)
+    r2 = float(np.max(np.abs(defect)))
     return r1, r2
 
 

@@ -23,7 +23,6 @@ from .exterior import Signature, multi_indices
 __all__ = [
     "PoincareElement",
     "PoinLieElement",
-    "AffineChartMap",
     "identity",
     "compose",
     "invert",
@@ -31,7 +30,6 @@ __all__ = [
     "standard_boost",
     "rotation",
     "translation",
-    "chart_transition",
     "wedge_vectors",
     "bivector_to_matrix",
     "matrix_to_bivector",
@@ -59,7 +57,11 @@ def _matvec(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PoincareElement:
-    """Affine map x -> A x + a relative to a declared chart and origin."""
+    """Affine map x -> A x + a relative to a declared chart and origin.
+
+    The same object serves as an active motion and as a passive change of
+    affine chart; A need only be non-singular (see :func:`is_isometry`).
+    """
 
     a: np.ndarray
     A: np.ndarray
@@ -83,26 +85,6 @@ class PoincareElement:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x + a, batched over the leading axes of x."""
         return _matvec(np.asarray(x, dtype=float), self.A) + self.a
-
-
-@dataclass(frozen=True)
-class AffineChartMap:
-    """Transition data between two affine charts: x -> A x + a (passive)."""
-
-    a: np.ndarray
-    A: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        A = np.asarray(self.A, dtype=float)
-        if abs(np.linalg.det(A)) < 1e-14:
-            raise ValueError("chart transition is not invertible")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "A", A)
-
-    def inverse(self) -> "AffineChartMap":
-        Ainv = np.linalg.inv(self.A)
-        return AffineChartMap(-Ainv @ self.a, Ainv)
 
 
 @dataclass(frozen=True)
@@ -189,11 +171,6 @@ def rotation(i: int, j: int, angle: float, n: int = 4) -> PoincareElement:
 def translation(a: np.ndarray) -> PoincareElement:
     a = np.asarray(a, dtype=float)
     return PoincareElement(a, np.eye(a.shape[0]))
-
-
-def chart_transition(B: AffineChartMap, coords: np.ndarray) -> np.ndarray:
-    """Passive re-expression of the same point in another affine chart."""
-    return _matvec(np.asarray(coords, dtype=float), B.A) + B.a
 
 
 # --- Lambda^2 V machinery ---

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exterior import Signature, multi_indices
-from .fields import MetricField, SymTensorField, VectorField, dual_form
+from .fields import MetricField, SymTensorField, VectorField, _require_finite, dual_form
 from .poincare import PoincareElement, PoinLieElement, _matvec, bivector_to_matrix, is_isometry, pairing
 
 __all__ = [
@@ -305,9 +305,7 @@ def _reduce_patch(func: Callable, patch: HyperplanePatch, factor: float, weighte
     def tile_sums(lo, hi):
         pts = patch.points(nodes[lo:hi])
         vals = evaluate_tiled(func, pts)
-        if not np.all(np.isfinite(vals)):
-            bad = np.argwhere(~np.isfinite(vals))[0]
-            raise FloatingPointError(f"non-finite sample near point {pts[bad[0]]}")
+        _require_finite(vals, pts)
         # the transpose of the rows is column input that needs no copy
         return pairwise_sum(weighted_rows(vals, pts, weights[lo:hi]).T)
 

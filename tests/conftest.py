@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from laue_lab.cli import CONSERVED_BLOB
 from laue_lab.exterior import Signature
 from laue_lab.fields import MetricField
 
-from field_builders import make_conserved_blob, make_static_dust
+from field_builders import make_static_dust
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +20,9 @@ def eta4():
 
 @pytest.fixture(scope="session")
 def conserved_blob():
-    return make_conserved_blob()
+    # the identities suite's static blob; its spatial stress is
+    # divergence-free by construction
+    return CONSERVED_BLOB
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,8 @@
 """Field builders shared by the test modules (imported by name, so they
 live outside ``conftest.py``, whose module name other test trees share)."""
 
-from dataclasses import replace
-
 import numpy as np
 
-from laue_lab.cli import CONSERVED_BLOB
 from laue_lab.exterior import Signature
 from laue_lab.fields import MetricField, ScalarField, SymTensorField, VectorField
 
@@ -28,16 +25,6 @@ def make_tilted_metric():
     return MetricField(Signature.mostly_minus(4), func, flat=False)
 
 
-def make_conserved_blob():
-    """The identities suite's static blob, whose spatial stress is
-    divergence-free by construction, with that zero divergence supplied."""
-
-    def div_func(points):
-        return np.zeros_like(np.asarray(points, float))
-
-    return replace(CONSERVED_BLOB, analytic_divergence=div_func)
-
-
 def make_spatial_bump(width=2.0, amp=1.0):
     """Smooth time-independent scalar bump exp(-r^2 / width^2)."""
 
@@ -46,15 +33,7 @@ def make_spatial_bump(width=2.0, amp=1.0):
         r2 = np.sum(points[..., 1:] ** 2, axis=-1)
         return amp * np.exp(-r2 / width**2)
 
-    def grad(points):
-        points = np.asarray(points, float)
-        out = np.zeros_like(points)
-        r2 = np.sum(points[..., 1:] ** 2, axis=-1)
-        val = amp * np.exp(-r2 / width**2)
-        out[..., 1:] = -2.0 * points[..., 1:] / width**2 * val[..., None]
-        return out
-
-    return ScalarField(func, grad=grad)
+    return ScalarField(func)
 
 
 def make_static_dust(rho0=1.0, sigma=1.0):

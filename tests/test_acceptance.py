@@ -54,10 +54,10 @@ def verdict(num, ok, detail):
 
 def test_criterion_1_algebra_identities():
     t0 = time.perf_counter()
-    records, ok = run_algebra_suite(seed=7, n_random=500, tol=1e-12)
+    records, ok = run_algebra_suite(seed=7)
     elapsed = time.perf_counter() - t0
     worst = max(r.value for r in records)
-    ok = ok and elapsed < 10.0
+    ok = ok and worst < 1e-12 and elapsed < 10.0
     verdict(1, ok, f"max residual {worst:.2e} (<1e-12), {elapsed:.1f}s (<10s)")
 
 
@@ -66,7 +66,7 @@ def test_criterion_1_algebra_identities():
 
 def test_criterion_2_group_algebra():
     t0 = time.perf_counter()
-    records, ok = run_poincare_suite(seed=7, n_random=200)
+    records, ok = run_poincare_suite(seed=7)
     elapsed = time.perf_counter() - t0
     worst = max(r.value for r in records)
     killing = [r for r in records if r.name.startswith("killing")][0].value

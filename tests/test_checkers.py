@@ -176,12 +176,7 @@ def test_gauss_residual_compact_test_function(conserved_blob):
 def test_gauss_residual_coordinate_function(conserved_blob):
     # phi = x^1: the interior integral is the stress integral, the boundary
     # term dies with the field; both vanish for a conserved compact system
-    phi = ScalarField(
-        lambda pts: np.asarray(pts)[..., 1],
-        grad=lambda pts: np.broadcast_to(
-            np.array([0.0, 1.0, 0.0, 0.0]), np.asarray(pts).shape
-        ),
-    )
+    phi = ScalarField(lambda pts: np.asarray(pts)[..., 1])
     patch = blob_patch(48)
     # floor set by the Gaussian tail truncation at the box edge
     assert gauss_residual(conserved_blob, phi, patch) < 1e-6

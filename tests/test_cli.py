@@ -21,6 +21,7 @@ from laue_lab.cli import (
     run_conservation_suite,
     run_geometric_suite,
 )
+from laue_lab.fields import MetricField, SymTensorField
 from laue_lab.quadrature import IntegralRecord
 
 
@@ -226,6 +227,27 @@ def test_box_l_config_key_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "verify", "algebra")
     assert code == EXIT_USAGE
     assert "unknown config key 'box_l'" in err
+
+
+def _nan_everywhere(points):
+    return np.full(np.shape(points)[:-1] + (4, 4), np.nan)
+
+
+@pytest.mark.parametrize(
+    "argv, name, field",
+    [
+        # Python's max(0.0, nan) is 0.0: a residual folded with max must
+        # not turn NaN samples into a pass
+        (["verify", "identities"], "CONSERVED_BLOB", SymTensorField(_nan_everywhere)),
+        (["verify", "poincare"], "ETA", MetricField(cli.SIG, _nan_everywhere)),
+    ],
+)
+def test_nan_residual_is_numeric_fault(monkeypatch, capsys, argv, name, field):
+    monkeypatch.setattr(cli, name, field)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("numeric fault: non-finite sample")
 
 
 @pytest.mark.parametrize("suite", ["identities", "geometric", "conservation"])

@@ -458,3 +458,9 @@ def test_basis_rejects_non_increasing_indices():
 def test_from_dense_round_trip():
     f = random_form(5, 3)
     assert np.allclose(PForm.from_dense(f.to_dense()).comps, f.comps)
+
+
+def test_from_dense_of_a_scalar_is_a_zero_form():
+    f = PForm.from_dense(np.array(2.5))
+    assert (f.n, f.p) == (0, 0)
+    assert f.comps.tolist() == [2.5]

@@ -8,13 +8,11 @@ import pytest
 
 from laue_lab.exterior import Signature, multi_indices
 from laue_lab.poincare import (
-    AffineChartMap,
     PoincareElement,
     PoinLieElement,
     ad,
     ad_transpose,
     bivector_to_matrix,
-    chart_transition,
     coad,
     compose,
     fundamental_field,
@@ -165,10 +163,14 @@ def test_active_translation_moves_origin():
     assert np.allclose(translation(a).apply(np.zeros(4)), a)
 
 
-def test_chart_transition_round_trip():
-    B = AffineChartMap(RNG.standard_normal(4), np.eye(4) + 0.1 * RNG.standard_normal((4, 4)))
+def test_chart_change_round_trip_non_isometric():
+    # a passive change of affine chart is a PoincareElement with any
+    # non-singular linear part, not only an isometry
+    B = PoincareElement(RNG.standard_normal(4), np.eye(4) + 0.1 * RNG.standard_normal((4, 4)))
+    assert not is_isometry(B, SIG)
     x = RNG.standard_normal((7, 4))
-    assert np.allclose(chart_transition(B.inverse(), chart_transition(B, x)), x, atol=1e-12)
+    assert np.allclose(invert(B).apply(B.apply(x)), x, atol=1e-12)
+    assert np.allclose(B.apply(x), x @ B.A.T + B.a, atol=1e-12)
 
 
 def test_active_boost_of_spatial_point():

@@ -293,9 +293,8 @@ def test_four_momentum_of_zero_tensor():
 
 
 def test_four_momentum_equals_row_current_fluxes():
-    from field_builders import make_conserved_blob
+    from laue_lab.cli import CONSERVED_BLOB as T
 
-    T = make_conserved_blob()
     patch = HyperplanePatch.time_slice(SIG, half_widths=6.0, grid=(48,))
     P = four_momentum(T, patch)
     for a in range(4):
@@ -385,9 +384,8 @@ def test_momentum_map_centered_dust():
 
 
 def test_momentum_map_translation_sector_matches_four_momentum():
-    from field_builders import make_conserved_blob
+    from laue_lab.cli import CONSERVED_BLOB as T
 
-    T = make_conserved_blob()
     patch = HyperplanePatch.time_slice(SIG, half_widths=6.0, grid=(32,))
     mv = momentum_map(T, patch, np.zeros(4))
     assert np.allclose(mv.lie.P, four_momentum(T, patch), atol=1e-12)
