@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .exterior import Signature
-from .fields import FormField, MetricField, ScalarField, SymTensorField, VectorField
+from .fields import FormField, MetricField, ScalarField, SymTensorField, VectorField, _spatial_r2
 from .poincare import (
     PoinLieElement,
     compose,
@@ -250,7 +250,7 @@ CURVED_METRIC = MetricField(SIG, _curved_metric, flat=False)  # g_11 = -(1 + 0.1
 def _lam(points):
     points = np.asarray(points, float)
     x = points[..., 1:]
-    b = np.exp(-np.sum(x * x, axis=-1) / 2.0)
+    b = np.exp(-_spatial_r2(x) / 2.0)
     out = np.zeros(points.shape[:-1] + (6,))
     out[..., 5] = b  # purely spatial slot
     out[..., 2] = 0.7 * b  # slot with a time leg: the derived current gets spatial components
@@ -265,7 +265,7 @@ TIME_TRANSLATION = VectorField(
 
 def _phi(points):
     points = np.asarray(points, float)
-    r2 = np.sum(points[..., 1:] ** 2, axis=-1)
+    r2 = _spatial_r2(points[..., 1:])
     return np.exp(-r2 / 4.0) * points[..., 1]
 
 
@@ -277,7 +277,7 @@ def _conserved_blob(points):
     # exp(-r^2/2) / 2, whose spatial divergence vanishes identically
     points = np.asarray(points, float)
     x = points[..., 1:]
-    r2 = np.sum(x * x, axis=-1)
+    r2 = _spatial_r2(x)
     chi = 0.5 * np.exp(-r2 / 2.0)
     out = np.zeros(points.shape[:-1] + (4, 4))
     out[..., 0, 0] = np.exp(-r2 / 2.0)
@@ -298,7 +298,7 @@ def _conserved_current(points):
     points = np.asarray(points, float)
     t = points[..., 0]
     x = points[..., 1:]
-    r2 = np.sum(x * x, axis=-1)
+    r2 = _spatial_r2(x)
     out = np.zeros(points.shape[:-1] + (4,))
     out[..., 0] = -np.sin(t) * np.exp(-r2) * (3.0 - 2.0 * r2)
     out[..., 1:] = np.cos(t)[..., None] * np.exp(-r2)[..., None] * x
@@ -308,7 +308,7 @@ def _conserved_current(points):
 def _sourced_current(points):
     points = np.asarray(points, float)
     out = np.zeros(points.shape[:-1] + (4,))
-    r2 = np.sum(points[..., 1:] ** 2, axis=-1)
+    r2 = _spatial_r2(points[..., 1:])
     out[..., 0] = (1.0 + 0.5 * np.sin(points[..., 0])) * np.exp(-r2)
     return out
 

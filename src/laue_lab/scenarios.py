@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exterior import Signature
-from .fields import SymTensorField, boost_emt_analytic
+from .fields import SymTensorField, _spatial_r2, boost_emt_analytic
 from .poincare import PoincareElement, invert, standard_boost
 from .quadrature import (
     HyperplanePatch,
@@ -163,7 +163,7 @@ def _gaussian_dust(rho0=1.0, sigma=1.0):
 
     def func(points):
         points = np.asarray(points, float)
-        r2 = np.sum(points[..., 1:] ** 2, axis=-1)
+        r2 = _spatial_r2(points[..., 1:])
         out = np.zeros(points.shape[:-1] + (4, 4))
         out[..., 0, 0] = rho0 * np.exp(-r2 / sigma**2)
         return out
@@ -188,16 +188,15 @@ def _shell(completed: bool):
             raise ValueError("mollifier width must be in [0, R)")
 
         def func(points):
+            # component-major: each T^{ab} is one contiguous row of out, returned
+            # as an (..., 4, 4) view; the coordinate columns are only read
             points = np.asarray(points, float)
-            x = points[..., 1:]
-            r2 = np.sum(x * x, axis=-1)
-            r = np.sqrt(r2)
+            r = np.sqrt(_spatial_r2(points[..., 1:]))
             # floor keeps 1/r^4 finite at the origin, where the weight is zero anyway
             r_safe = np.maximum(r, 1e-60 * R)
-            out = np.zeros(points.shape[:-1] + (4, 4))
-            coef = (q / (4.0 * math.pi)) ** 2
-            e2 = coef / r_safe**4  # |E|^2
-            dirs = x / r_safe[..., None]
+            out = np.zeros((4, 4) + r.shape)
+            e2 = (q / (4.0 * math.pi)) ** 2 / r_safe**4  # |E|^2
+            dirs = [points[..., 1 + a] / r_safe for a in range(3)]
             if mollify > 0.0:
                 # quintic C^2 blend of width mollify across the surface, for
                 # derivative probes only; integral checks use the sharp profile
@@ -206,19 +205,17 @@ def _shell(completed: bool):
             else:
                 w = (r > R).astype(float)
             half_e2 = w * 0.5 * e2
-            out[..., 0, 0] = half_e2
+            minus_we2 = -w * e2
+            # interior isotropic tension balancing the exterior stress integrals
+            tension = (1.0 - w) * (q**2 / (32.0 * math.pi**2 * R**4)) if completed else None
+            out[0, 0] = half_e2
             for a in range(3):
-                for b in range(a, 3):
-                    ee = -w * e2 * (dirs[..., a] * dirs[..., b])
-                    out[..., 1 + a, 1 + b] = ee
-                    out[..., 1 + b, 1 + a] = ee
-                out[..., 1 + a, 1 + a] += half_e2
-            if completed:
-                # interior isotropic tension balancing the exterior stress integrals
-                p = q**2 / (32.0 * math.pi**2 * R**4)
-                for a in range(3):
-                    out[..., 1 + a, 1 + a] -= (1.0 - w) * p
-            return out
+                for b in range(a + 1, 3):
+                    out[1 + a, 1 + b] = out[1 + b, 1 + a] = minus_we2 * (dirs[a] * dirs[b])
+                out[1 + a, 1 + a] = minus_we2 * (dirs[a] * dirs[a]) + half_e2
+                if completed:
+                    out[1 + a, 1 + a] -= tension
+            return np.moveaxis(out, (0, 1), (-2, -1))
 
         def rule(scale, outer):
             n_ang = max(4, round(48 * scale))

@@ -52,7 +52,7 @@ from laue_lab.quadrature import (
     spherical_rule,
     transform_patch,
 )
-from laue_lab.scenarios import tolman_weak_ep
+from laue_lab.scenarios import build, tolman_weak_ep
 
 from field_builders import make_static_dust
 
@@ -636,6 +636,32 @@ def test_transformed_moments_bitwise_across_threads(monkeypatch, two_cpus):
     assert np.array_equal(F0_1, F0_2) and np.array_equal(F1_1, F1_2)
 
 
+def test_completed_shell_moments_bitwise_across_threads(monkeypatch, two_cpus):
+    # the shell's samples are component-major views, not C-ordered arrays; the
+    # tiled reduction of its moments and of its transformed image's flux must
+    # still not depend on the thread count
+    shell, spec = build("completed_shell")
+    seen = []
+
+    def T(points):
+        seen.append(threading.current_thread())
+        return shell(points)
+
+    T = SymTensorField(T)
+    patch = spec.slice_patch(SIG, scale=0.75)  # 116,640 nodes: two tiles
+    g = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translation([0.2, -0.1, 0.3, 0.5])))
+    T_g, image = active_transform(g, T), transform_patch(g, patch)
+    origin = np.array([0.1, -0.3, 0.2, 0.4])
+    monkeypatch.setenv("LAUE_LAB_THREADS", "1")
+    M0_1, mv_1 = patch_moments(T, patch), momentum_map(T_g, image, origin)
+    monkeypatch.setenv("LAUE_LAB_THREADS", "2")
+    M0_2, mv_2 = patch_moments(T, patch), momentum_map(T_g, image, origin)
+    main = threading.main_thread()
+    assert [t is main for t in seen] == [True] * 4 + [False] * 4  # pooled under 2
+    assert np.array_equal(M0_1, M0_2)
+    assert np.array_equal(mv_1.fluxes, mv_2.fluxes)
+
+
 def test_momentum_map_fluxes_match_moment_route():
     # the reference contracts the whole moments M0^{ab} and M1^{abc} with the
     # normal after the reduction, the route the per-node flux contraction replaced
@@ -693,6 +719,17 @@ def nan_off_slice():
     return SymTensorField(func)
 
 
+def nan_shell_node():
+    """completed_shell on its own rule with one node's coordinates NaN, in the
+    second tile: the closure computes NaN from the coordinate itself."""
+    T, spec = build("completed_shell")
+    patch = spec.slice_patch(SIG)
+    nodes, weights = patch.nodes_weights()
+    nodes = nodes.copy()
+    nodes[100_000] = np.nan
+    return T, patch.with_rule(nodes, weights)
+
+
 NAN_G = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translation([0.2, -0.1, 0.3, 0.5])))
 
 
@@ -708,14 +745,15 @@ NAN_G = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translatio
         lambda T, patch: tolman_weak_ep(T, -1.0, patch),
         lambda T, patch: integrate_form(FormField(4, 3, lambda p: T(p)[..., 0, :]), patch),
         lambda T, patch: integrate_scalar_density(lambda p: T(p)[..., 0, 0], patch),
+        lambda T, patch: four_momentum(*nan_shell_node()),
         lambda T, patch: gauss_residual(T, ScalarField(lambda p: np.sin(p[..., 1])), patch),
         lambda T, patch: classical_laue_report(
             nan_off_slice(), HyperplanePatch.time_slice(SIG, half_widths=1.0, grid=(16,)), [0.3]
         ),
     ],
     ids=["four_momentum", "laue_integrals", "momentum_map", "transformed_momentum_map",
-         "tolman_weak_ep", "integrate_form", "integrate_scalar_density", "gauss_residual",
-         "classical_laue_report_stationarity"],
+         "tolman_weak_ep", "integrate_form", "integrate_scalar_density", "shell_nan_coordinate",
+         "gauss_residual", "classical_laue_report_stationarity"],
 )
 def test_non_finite_sample_raises_everywhere(integral):
     T, patch = nan_at_one_node()

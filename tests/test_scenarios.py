@@ -363,3 +363,105 @@ def test_run_scenario_result_container():
     assert res.extras["passive_mass"] == pytest.approx(res.P[0], rel=1e-9)
     assert res.extras["tolman_integrand_residual"] < 1e-12
     assert set(res.stress) == {"T01", "T02", "T03", "T11", "T12", "T13", "T22", "T23", "T33"}
+
+
+# --- component-major shell samples ---
+
+
+def node_major_shell(points, completed, q=1.0, R=1.0, mollify=0.0):
+    """The shell's T^{ab} written node by node into (..., 4, 4), the layout
+    the component-major closure replaced; kept as the bitwise reference."""
+    points = np.asarray(points, float)
+    x = points[..., 1:]
+    r2 = np.sum(x * x, axis=-1)
+    r = np.sqrt(r2)
+    r_safe = np.maximum(r, 1e-60 * R)
+    out = np.zeros(points.shape[:-1] + (4, 4))
+    e2 = (q / (4.0 * math.pi)) ** 2 / r_safe**4
+    dirs = x / r_safe[..., None]
+    if mollify > 0.0:
+        t = np.clip((r - (R - 0.5 * mollify)) / mollify, 0.0, 1.0)
+        w = t**3 * (10.0 + t * (-15.0 + 6.0 * t))
+    else:
+        w = (r > R).astype(float)
+    half_e2 = w * 0.5 * e2
+    out[..., 0, 0] = half_e2
+    for a in range(3):
+        for b in range(a, 3):
+            ee = -w * e2 * (dirs[..., a] * dirs[..., b])
+            out[..., 1 + a, 1 + b] = ee
+            out[..., 1 + b, 1 + a] = ee
+        out[..., 1 + a, 1 + a] += half_e2
+    if completed:
+        p = q**2 / (32.0 * math.pi**2 * R**4)
+        for a in range(3):
+            out[..., 1 + a, 1 + a] -= (1.0 - w) * p
+    return out
+
+
+def shell_points(shape):
+    """Points inside, outside and across the mollified surface; the origin is
+    the first one unless there is only one point."""
+    pts = RNG.uniform(-2.5, 2.5, shape)
+    pts[..., 1:] *= RNG.uniform(0.0, 1.0, shape[:-1] + (1,))  # many inside r = 1
+    if pts.size > 4:
+        pts.reshape(-1, 4)[0] = 0.0
+    return pts
+
+
+SHELLS = [
+    ("coulomb_shell", {}, dict(completed=False)),
+    ("completed_shell", {}, dict(completed=True)),
+    ("completed_shell", {"mollify": True}, dict(completed=True, mollify=0.05)),
+]
+SHELL_IDS = ["bare", "completed", "mollified"]
+
+
+@pytest.mark.parametrize("shape", [(4096, 4), (2, 3, 4), (1, 4)])
+@pytest.mark.parametrize("name, params, ref", SHELLS, ids=SHELL_IDS)
+def test_shell_samples_bitwise_node_major(name, params, ref, shape):
+    T, _ = build(name, **params)
+    pts = shell_points(shape)
+    got = T(pts)
+    assert got.shape == shape[:-1] + (4, 4)
+    assert np.array_equal(got, node_major_shell(pts, **ref))  # bitwise
+
+
+@pytest.mark.parametrize("name, params", [(n, p) for n, p, _ in SHELLS], ids=SHELL_IDS)
+def test_shell_rows_are_contiguous_views(name, params):
+    # patch_moments reads reshape(m, 16).T; it must be a view of the sample,
+    # not a strided copy of node-major components
+    T, _ = build(name, **params)
+    Tv = T(shell_points((1000, 4)))
+    rows = Tv.reshape(1000, 16).T
+    assert np.shares_memory(rows, Tv) and rows.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", [(10_000, 3), (7, 5, 3), (1, 3), (3,)])
+def test_spatial_r2_is_bitwise_the_axis_sum(shape):
+    from laue_lab.fields import _spatial_r2
+
+    x = RNG.choice([-1.0, 1.0], shape) * 10.0 ** RNG.uniform(-9.0, 4.0, shape)
+    assert np.array_equal(_spatial_r2(x), np.sum(x * x, axis=-1))
+
+
+def touched_closures():
+    from laue_lab.cli import CONSERVED_BLOB, CONSERVED_CURRENT, LAM, PHI, SOURCED_CURRENT
+
+    fields = {sid: build(name, **params)[0] for sid, (name, params, _) in zip(SHELL_IDS, SHELLS)}
+    fields.update(gaussian_dust=build("gaussian_dust")[0], lam=LAM, phi=PHI,
+                  conserved_blob=CONSERVED_BLOB, conserved_current=CONSERVED_CURRENT,
+                  sourced_current=SOURCED_CURRENT)
+    return fields
+
+
+@pytest.mark.parametrize("m", [500, 1])
+@pytest.mark.parametrize("name", list(touched_closures()))
+def test_closure_leaves_its_points_unchanged(name, m):
+    # the closures read coordinate columns as views of the caller's array (for
+    # one point even np.ascontiguousarray of a column is one), so an in-place
+    # operation on a column would rewrite the caller's points
+    pts = shell_points((m, 4))
+    before = pts.copy()
+    touched_closures()[name](pts)
+    assert np.array_equal(pts, before)
