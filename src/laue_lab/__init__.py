@@ -14,7 +14,6 @@ from .poincare import (
     invert,
     lie_bracket,
     pairing,
-    poincare_exp,
     rotation,
     standard_boost,
     translation,
@@ -27,10 +26,8 @@ from .fields import (
     VectorField,
     active_transform,
     boost_emt_analytic,
-    current_from_killing,
     divergence,
     emt_to_form,
-    fd_partial,
     identity_residuals,
     killing_residual,
     lie_derivative,
@@ -40,14 +37,13 @@ from .quadrature import (
     MomentumValue,
     flux_charge,
     four_momentum,
-    induced_measure,
     integrate_form,
     laue_integrals,
     momentum_map,
     patch_moments,
     transform_patch,
 )
-from .scenarios import build, coulomb_pair_energy, kinetic_stress_sums, tolman_weak_ep, trouton_noble_demo, virial_check
+from .scenarios import build, coulomb_pair_energy, virial_check
 from .checkers import (
     classical_laue_report,
     conservation_check,

@@ -219,7 +219,7 @@ def _apply_config(args, cfg: dict, flags):
         value = getattr(args, key)
         if value is None:
             setattr(args, key, default)
-        elif key in ("fd_h", "grid_n") and not (value > 0 and math.isfinite(value)):
+        elif key in ("fd_h", "grid_n", "tol") and not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{source} must be a finite positive number, got {value}")
         elif key == "beta" and (bad := [b for b in value if not abs(b) < 1]):  # nan, inf too
             raise ValueError(f"{source} must be finite with |beta| < 1, got {bad[0]}")

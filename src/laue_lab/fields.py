@@ -34,7 +34,6 @@ __all__ = [
     "Cov2Field",
     "MetricField",
     "DEFAULT_H",
-    "fd_partial",
     "exterior_derivative",
     "christoffels",
     "divergence",
@@ -45,10 +44,8 @@ __all__ = [
     "emt_to_form",
     "contract_coform",
     "dual_form",
-    "current_from_killing",
     "identity_residuals",
     "stationarity_residual",
-    "symmetry_residual",
 ]
 
 DEFAULT_H = 1e-3
@@ -193,18 +190,6 @@ def _fd_stack(f, points, h: float, axis: int):
     """:func:`_central` along every chart axis d, stacked at ``axis``."""
     n = points.shape[-1]
     return np.stack([_central(f, points, d, h) for d in range(n)], axis=axis)
-
-
-def fd_partial(f, direction: int, h: float = DEFAULT_H):
-    """Central-difference partial derivative of a batched field along a chart
-    axis, as a batched callable; O(h^2) accurate on smooth fields."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-
-    def func(points):
-        return _central(f, points, direction, h)
-
-    return func
 
 
 def exterior_derivative(omega: FormField, h: float = DEFAULT_H) -> FormField:
@@ -480,18 +465,6 @@ def dual_form(V: VectorField, g: MetricField) -> FormField:
     return FormField(g.n, g.n - 1, func)
 
 
-def current_from_killing(T: SymTensorField, K: VectorField, g: MetricField):
-    """Current J^b = K_a T^{ab} and its dual (n-1)-form star(J_flat)."""
-
-    def j_func(points):
-        points = np.asarray(points, float)
-        gv = g(points)
-        return np.einsum("...ac,...c,...ab->...b", gv, K(points), T(points))
-
-    J = VectorField(j_func)
-    return J, dual_form(J, g)
-
-
 def identity_residuals(
     T: SymTensorField, K: VectorField, g: MetricField, h: float, samples
 ) -> tuple:
@@ -552,8 +525,3 @@ def stationarity_residual(field, h: float, samples) -> float:
     dt = _central(field, points, 0, h)
     _require_finite(dt, points)
     return float(np.max(np.abs(dt)))
-
-
-def symmetry_residual(T: SymTensorField, samples) -> float:
-    Tv = T(np.asarray(samples, float))
-    return float(np.max(np.abs(Tv - np.swapaxes(Tv, -1, -2))))

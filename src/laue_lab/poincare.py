@@ -39,9 +39,6 @@ __all__ = [
     "ad_transpose",
     "coad",
     "fundamental_field",
-    "poincare_exp",
-    "rebase_element",
-    "rebase_lie",
 ]
 
 
@@ -290,44 +287,3 @@ def fundamental_field(xi: PoinLieElement, origin: np.ndarray, sig: Signature):
         return P + _matvec(points - origin, E)
 
     return eval_field
-
-
-def _expm(H: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring (Higham, SIAM J. Matrix
-    Anal. Appl. 26(4), 2005) with a Taylor series for the scaled matrix.
-
-    H is scaled by 2^-s until its 1-norm is at most 1/2; the Taylor tail
-    past degree 16 is then below 0.5^17 / 17! ~ 2e-20, under roundoff.
-    """
-    s = max(0, math.frexp(np.linalg.norm(H, 1))[1] + 1)
-    X = H / 2.0**s
-    term = np.eye(len(H))
-    E = term.copy()
-    for k in range(1, 17):
-        term = term @ X / k
-        E += term
-    for _ in range(s):
-        E = E @ E
-    return E
-
-
-def poincare_exp(xi: PoinLieElement, sig: Signature) -> PoincareElement:
-    """Group element exp(xi) via the (n+1)-dimensional homogeneous matrix."""
-    n = xi.n
-    H = np.zeros((n + 1, n + 1))
-    H[:n, :n] = bivector_to_matrix(xi.M, sig)
-    H[:n, n] = xi.P
-    G = _expm(H)
-    return PoincareElement(G[:n, n], G[:n, :n])
-
-
-def rebase_element(g: PoincareElement, shift: np.ndarray) -> PoincareElement:
-    """Re-express the same affine map relative to origin o' = o + shift."""
-    shift = np.asarray(shift, dtype=float)
-    return PoincareElement(g.a + g.A @ shift - shift, g.A)
-
-
-def rebase_lie(xi: PoinLieElement, shift: np.ndarray, sig: Signature) -> PoinLieElement:
-    """Re-express the same affine vector field relative to o' = o + shift."""
-    shift = np.asarray(shift, dtype=float)
-    return PoinLieElement(xi.P + bivector_to_matrix(xi.M, sig) @ shift, xi.M)

@@ -30,7 +30,6 @@ __all__ = [
     "HyperplanePatch",
     "MomentumValue",
     "IntegralRecord",
-    "induced_measure",
     "integrate_form",
     "integrate_scalar_density",
     "flux_charge",
@@ -268,19 +267,6 @@ class IntegralRecord:
         when ``passed`` says so for a check that is not a plain bound."""
         ok = abs(value) < tol if passed is None else passed
         return cls(name, value, grid, tolerance=tol, verdict="pass" if ok else "fail", **meta)
-
-
-def induced_measure(patch: HyperplanePatch):
-    """Measure (n-1)-form +-(insert normal into volume form) on the patch.
-
-    Positive sign for a timelike normal, negative for a spacelike one; a
-    null normal is rejected at patch construction.  For the standard time
-    slice this is the spatial coordinate volume form.
-    """
-    from .exterior import insert, volume_form
-
-    sign = 1.0 if patch.normal_square() > 0 else -1.0
-    return sign * insert(patch.normal, volume_form(patch.sig.n))
 
 
 def _measure_factor(patch: HyperplanePatch) -> float:

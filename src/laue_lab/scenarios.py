@@ -24,8 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exterior import Signature
-from .fields import SymTensorField, _spatial_r2, boost_emt_analytic
-from .poincare import PoincareElement, invert, standard_boost
+from .fields import SymTensorField, _spatial_r2
+from .poincare import PoincareElement, invert
 from .quadrature import (
     HyperplanePatch,
     box_rule,
@@ -39,11 +39,8 @@ __all__ = [
     "SCENARIO_NAMES",
     "build",
     "scenario_params",
-    "tolman_weak_ep",
-    "kinetic_stress_sums",
     "coulomb_pair_energy",
     "virial_check",
-    "trouton_noble_demo",
 ]
 
 # relative nudge separating the radial segments at a shell surface, so the
@@ -326,24 +323,16 @@ def build(name: str, **params):
     return SymTensorField(func), spec
 
 
-def tolman_weak_ep(T: SymTensorField, phi_value: float, patch: HyperplanePatch):
-    """Static weak-field coupling integral and the passive mass it implies.
+def _weak_ep(M0: np.ndarray, phi_value: float, patch: HyperplanePatch):
+    """Static weak-field coupling integral in the potential ``phi_value`` and
+    the passive mass it implies, read off the moment M0^{ab} = integral of
+    T^{ab} over the patch.
 
-    Returns (L_int, passive_mass, integrand_identity_residual) where the
+    Returns (L_int, passive_mass, integrand_identity_residual), where the
     residual checks that the energy-plus-stress-trace combination equals
     twice the trace-reversed tensor contracted with the slice normal.  The
-    identity is linear in T, so it is checked on the integrated tensor
-    M0^{ab} = integral of T^{ab}, the same algebra as at each node.
+    identity is linear in T, so on M0 it is the same algebra as at each node.
     """
-    from .quadrature import patch_moments
-
-    if phi_value == 0:
-        raise ValueError("potential value must be nonzero to define a mass")
-    return _weak_ep(patch_moments(T, patch), phi_value, patch)
-
-
-def _weak_ep(M0: np.ndarray, phi_value: float, patch: HyperplanePatch):
-    """:func:`tolman_weak_ep` read off the moment M0 of T on the patch."""
     combo = M0[0, 0] + M0[1, 1] + M0[2, 2] + M0[3, 3]
     eta = patch.sig.matrix
     trace = np.sum(eta * M0)
@@ -352,26 +341,6 @@ def _weak_ep(M0: np.ndarray, phi_value: float, patch: HyperplanePatch):
     projected = 2.0 * n_low @ trace_reversed @ n_low
     L_int = phi_value * combo
     return L_int, L_int / phi_value, float(abs(combo - projected))
-
-
-def kinetic_stress_sums(particles):
-    """Leading-order slow-motion sums: total energy and motion-axis stress.
-
-    Each particle contributes rest mass plus kinetic energy to the energy
-    integral and twice its kinetic energy to the stress integral along its
-    motion.
-    """
-    E_tot = 0.0
-    stress = 0.0
-    for m, v in particles:
-        if m <= 0:
-            raise ValueError("masses must be positive")
-        if abs(v) >= 1.0:
-            raise ValueError("|v| must be < 1")
-        e_kin = 0.5 * m * v * v
-        E_tot += m + e_kin
-        stress += 2.0 * e_kin
-    return E_tot, stress
 
 
 def coulomb_pair_energy(charges) -> float:
@@ -409,29 +378,3 @@ def virial_check(
     e_kin = 0.5 * omega2 * (m1 * r1**2 + m2 * r2**2)
     U = coulomb_pair_energy([(q1, np.zeros(3)), (q2, np.array([d, 0.0, 0.0]))])
     return abs(2.0 * e_kin + U) / abs(U)
-
-
-def trouton_noble_demo(
-    tilt: float, E0: float, box, beta: float, sig: Optional[Signature] = None
-):
-    """Transverse momentum picked up by a boosted tilted-field box.
-
-    Returns the directly integrated transverse components of the boosted
-    momentum together with the constant-integrand closed form
-    -beta E^1 E^2 V (and 0 for the third axis).
-    """
-    from .quadrature import four_momentum
-
-    sig = sig or Signature.mostly_minus(4)
-    if abs(beta) >= 1:
-        raise ValueError("|beta| must be < 1")
-    T, spec = build("uniform_field_box", E0=E0, tilt=tilt, box=box)
-    boosted = boost_emt_analytic(T, beta)
-    patch = spec.adapted_slice_patch(standard_boost(1, beta), sig)
-    P_bar = four_momentum(boosted, patch)
-    stress_12 = spec.analytic["stress_12"]
-    return {
-        "transverse_direct": P_bar[2:],
-        "transverse_closed_form": np.array([beta * stress_12, 0.0]),
-        "stress_12": stress_12,
-    }

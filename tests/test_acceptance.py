@@ -33,12 +33,7 @@ from laue_lab.cli import (
 from laue_lab.fields import SymTensorField, VectorField, identity_residuals
 from laue_lab.poincare import compose, rotation, standard_boost, translation
 from laue_lab.quadrature import HyperplanePatch, four_momentum, laue_integrals
-from laue_lab.scenarios import (
-    build,
-    tolman_weak_ep,
-    trouton_noble_demo,
-    virial_check,
-)
+from laue_lab.scenarios import build, run_scenario, virial_check
 
 from field_builders import constant_field
 
@@ -292,20 +287,15 @@ def test_criterion_10_physics_extras():
         virial_check(1.0, -1.0, 1.0),
         virial_check(0.5, -0.5, 3.0, 2.0, 5.0),
     )
-    T_full, spec_full = build("completed_shell", r_out=1e4)
-    patch_full = spec_full.slice_patch(SIG)
-    P0_full = four_momentum(T_full, patch_full)[0]
-    _, mass_full, _ = tolman_weak_ep(T_full, -0.01, patch_full)
-    T_bare, spec_bare = build("coulomb_shell", r_out=1e4)
-    patch_bare = spec_bare.slice_patch(SIG)
-    P0_bare = four_momentum(T_bare, patch_bare)[0]
-    _, mass_bare, _ = tolman_weak_ep(T_bare, -0.01, patch_bare)
-    res_full = abs(mass_full - P0_full) / P0_full
-    res_bare = abs(mass_bare - 2.0 * P0_bare) / P0_bare
-    tn = trouton_noble_demo(math.pi / 4, 1.0, (1.0, 1.0, 1.0), 0.5)
-    tn_res = float(
-        np.max(np.abs(tn["transverse_direct"] - tn["transverse_closed_form"]))
-    )
+    full = run_scenario("completed_shell", {"r_out": 1e4})
+    bare = run_scenario("coulomb_shell", {"r_out": 1e4})
+    res_full = abs(full.extras["passive_mass"] - full.P[0]) / full.P[0]
+    res_bare = abs(bare.extras["passive_mass"] - 2.0 * bare.P[0]) / bare.P[0]
+    T_box, spec_box = build("uniform_field_box")
+    beta = 0.5
+    transverse = classical_laue_report(T_box, spec_box, [beta]).entries[0].P_direct[2:]
+    closed_form = np.array([beta * spec_box.analytic["stress_12"], 0.0])
+    tn_res = float(np.max(np.abs(transverse - closed_form)))
     ok = vir < 1e-12 and res_full < 1e-3 and res_bare < 1e-3 and tn_res < 1e-10
     verdict(
         10,

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from laue_lab.cli import seeded_elements
 from laue_lab.exterior import Signature, multi_indices
 from laue_lab.poincare import (
     PoincareElement,
@@ -22,9 +23,6 @@ from laue_lab.poincare import (
     lie_bracket,
     matrix_to_bivector,
     pairing,
-    poincare_exp,
-    rebase_element,
-    rebase_lie,
     rotation,
     standard_boost,
     translation,
@@ -323,25 +321,6 @@ def test_ad_rejects_non_isometry():
         ad(scaling, random_lie(RNG), SIG)
 
 
-def test_ad_matches_conjugation_derivative():
-    # d/ds|_0 g exp(s xi) g^{-1} computed by central differences in the group
-    rng = np.random.default_rng(11)
-    g = random_isometry(rng)
-    xi = random_lie(rng)
-    s = 1e-5
-    plus = compose(compose(g, poincare_exp(_scale(xi, s), SIG)), invert(g))
-    minus = compose(compose(g, poincare_exp(_scale(xi, -s), SIG)), invert(g))
-    dA = (plus.A - minus.A) / (2 * s)
-    da = (plus.a - minus.a) / (2 * s)
-    out = ad(g, xi, SIG)
-    assert np.allclose(bivector_to_matrix(out.M, SIG), dA, atol=1e-6)
-    assert np.allclose(out.P, da, atol=1e-6)
-
-
-def _scale(xi, s):
-    return PoinLieElement(s * xi.P, s * xi.M)
-
-
 # --- fundamental fields ---
 
 
@@ -387,102 +366,31 @@ def test_fields_antihomomorphism():
 
 
 def test_pushforward_of_fundamental_field():
-    # A V_xi(g^{-1} x) = V_{Ad_g xi}(x) for the origin-preserving action
+    # A V_xi(g^{-1} x) = V_{Ad_g xi}(x) for the origin-preserving action, on a
+    # random isometry and on the five elements the CLI checks draw
     rng = np.random.default_rng(13)
-    g = random_isometry(rng, with_translation=True)
-    xi = random_lie(rng)
+    elements = [random_isometry(rng, with_translation=True)]
+    elements += [g for _, g in seeded_elements(7)]
     o = np.zeros(4)
-    pts = rng.standard_normal((6, 4))
-    V = fundamental_field(xi, o, SIG)
-    pushed = V(invert(g).apply(pts)) @ g.A.T
-    W = fundamental_field(ad(g, xi, SIG), o, SIG)
-    assert np.allclose(pushed, W(pts), atol=1e-10)
+    for g in elements:
+        xi = random_lie(rng)
+        pts = rng.standard_normal((6, 4))
+        V = fundamental_field(xi, o, SIG)
+        pushed = V(invert(g).apply(pts)) @ g.A.T
+        W = fundamental_field(ad(g, xi, SIG), o, SIG)
+        assert np.allclose(pushed, W(pts), atol=1e-10)
 
 
-# --- exponential and origin shifts ---
-
-
-def test_exp_of_zero_is_identity():
-    g = poincare_exp(PoinLieElement.zero(4), SIG)
-    assert np.allclose(g.A, np.eye(4)) and np.allclose(g.a, 0.0)
-
-
-def test_exp_of_translation_sector():
-    P = RNG.standard_normal(4)
-    g = poincare_exp(PoinLieElement(P, np.zeros(6)), SIG)
-    assert np.allclose(g.a, P) and np.allclose(g.A, np.eye(4))
-
-
-def test_exp_produces_isometries():
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        g = poincare_exp(random_lie(rng), SIG)
-        assert is_isometry(g, SIG, 1e-10)
-
-
-def test_exp_one_parameter_property():
-    xi = random_lie(np.random.default_rng(15))
-    s, t = 0.3, 0.45
-    lhs = poincare_exp(_scale(xi, s + t), SIG)
-    rhs = compose(poincare_exp(_scale(xi, s), SIG), poincare_exp(_scale(xi, t), SIG))
-    assert np.max(np.abs(lhs.A - rhs.A)) < 1e-12
-    assert np.max(np.abs(lhs.a - rhs.a)) < 1e-12
-
-
-def test_exp_boost_generator_reproduces_standard_boost():
-    # exp(phi e0^e1 generator) is the rapidity-phi boost along axis 1
-    phi = 0.83
-    beta = math.tanh(phi)
-    xi = PoinLieElement(np.zeros(4), phi * wedge_vectors(basis_vec(1), basis_vec(0)))
-    g = poincare_exp(xi, SIG)
-    ref = standard_boost(1, beta)
-    assert np.allclose(g.A, ref.A, atol=1e-12)
-
-
-def _assert_exp_matches(g, A_ref, a_ref):
-    got = np.column_stack([g.A, g.a])
-    ref = np.column_stack([A_ref, a_ref])
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_exp_large_rapidity_boost_closed_form():
-    # rapidity 4 gives a 1-norm of 4, so the series runs on a squared-down matrix
-    phi = 4.0
-    xi = PoinLieElement(np.zeros(4), phi * wedge_vectors(basis_vec(1), basis_vec(0)))
-    A = np.eye(4)
-    A[0, 0] = A[1, 1] = math.cosh(phi)
-    A[0, 1] = A[1, 0] = math.sinh(phi)
-    _assert_exp_matches(poincare_exp(xi, SIG), A, np.zeros(4))
-
-
-def test_exp_null_rotation_closed_form():
-    # N = (e0 + e1) ^ e2 with a null leg has N^3 = 0, so the series terminates:
-    # A = I + N + N^2/2 and a = (I + N/2 + N^2/6) P
-    M = 2.5 * wedge_vectors(basis_vec(0) + basis_vec(1), basis_vec(2))
-    P = np.array([0.3, -0.2, 0.5, 0.1])
-    N = bivector_to_matrix(M, SIG)
-    assert np.max(np.abs(N @ N)) > 1.0 and np.max(np.abs(N @ N @ N)) == 0.0
-    A = np.eye(4) + N + N @ N / 2
-    a = P + N @ P / 2 + N @ N @ P / 6
-    _assert_exp_matches(poincare_exp(PoinLieElement(P, M), SIG), A, a)
-
-
-def test_exp_screw_motion_closed_form():
-    # a rotation in the (1, 2) plane and a translation along its axis commute
-    theta, d = 2.0, 0.7
-    xi = PoinLieElement(d * basis_vec(3), theta * wedge_vectors(basis_vec(1), basis_vec(2)))
-    _assert_exp_matches(poincare_exp(xi, SIG), rotation(1, 2, theta).A, d * basis_vec(3))
-
-
-def test_exp_does_not_import_scipy():
+def test_laue_lab_does_not_import_scipy():
+    # the package and the group-algebra suite run on numpy alone
     import laue_lab
 
     code = (
-        "import sys\n"
-        "import numpy as np\n"
+        "import contextlib, io, sys\n"
         "import laue_lab\n"
-        "xi = laue_lab.PoinLieElement(np.ones(4), np.ones(6))\n"
-        "laue_lab.poincare_exp(xi, laue_lab.Signature.mostly_minus(4))\n"
+        "from laue_lab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', 'poincare']) == 0\n"
         "assert 'scipy' not in sys.modules\n"
     )
     src = os.path.dirname(os.path.dirname(laue_lab.__file__))
@@ -492,26 +400,3 @@ def test_exp_does_not_import_scipy():
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-
-
-def test_rebase_element_consistency():
-    # the same affine map expressed about a shifted origin sends the same
-    # points to the same points
-    rng = np.random.default_rng(16)
-    g = random_isometry(rng)
-    d = rng.standard_normal(4)
-    g2 = rebase_element(g, d)
-    x = rng.standard_normal(4)
-    # coordinates about o' differ by -d
-    assert np.allclose(g2.apply(x - d), g.apply(x) - d, atol=1e-12)
-
-
-def test_rebase_lie_preserves_field():
-    rng = np.random.default_rng(17)
-    xi = random_lie(rng)
-    d = rng.standard_normal(4)
-    o = rng.standard_normal(4)
-    pts = rng.standard_normal((5, 4))
-    V = fundamental_field(xi, o, SIG)
-    W = fundamental_field(rebase_lie(xi, d, SIG), o + d, SIG)
-    assert np.allclose(V(pts), W(pts), atol=1e-12)
