@@ -341,6 +341,15 @@ def _passed(records) -> bool:
     return all(r.verdict != "fail" for r in records)
 
 
+def _fold(res: float, *diffs) -> float:
+    """max(res, max |d| over the diffs); a non-finite d raises, where Python's
+    max(res, nan) would keep res and read as a pass."""
+    worst = float(np.max([np.max(np.abs(d)) for d in diffs]))
+    if not math.isfinite(worst):
+        raise FloatingPointError("non-finite residual in a suite fold")
+    return max(res, worst)
+
+
 def _doubling_ratio(coarse: float, fine: float):
     """Residual ratio at step 2h over step h, and whether it is the ~4x
     drop of an h^2-limited residual."""
@@ -380,7 +389,7 @@ def run_algebra_suite(seed: int):
                         b = PForm.basis(n, b_idx)
                         lhs = wedge(b, star_a)
                         rhs = inner_norm(b, a, sig) * eps
-                        res = max(res, float(np.max(np.abs(lhs.comps - rhs.comps))))
+                        res = _fold(res, lhs.comps - rhs.comps)
             records.append(IntegralRecord.gated(f"duality_property[{label}]", res, tol, label))
             # volume normalisation
             res = abs(inner_norm(eps, eps, sig) - (-1.0) ** sig.n_minus)
@@ -393,16 +402,16 @@ def run_algebra_suite(seed: int):
         a = PForm(n, p, rng.standard_normal(math.comb(n, p)))
         twice = hodge(hodge(a, sig), sig)
         sign = (-1.0) ** ((n + 1) * (p + 1))
-        res_sq = max(res_sq, float(np.max(np.abs(twice.comps - sign * a.comps))))
+        res_sq = _fold(res_sq, twice.comps - sign * a.comps)
         b = PForm(n, n - p, rng.standard_normal(math.comb(n, n - p)))
         lhs = inner_norm(a, hodge(b, sig), sig)
         rhs = (-1.0) ** (p * (n - p)) * inner_norm(hodge(a, sig), b, sig)
-        res_adj = max(res_adj, abs(lhs - rhs))
+        res_adj = _fold(res_adj, lhs - rhs)
         if p < n:
             v = rng.standard_normal(n)
             lhs_f = insert(v, hodge(a, sig))
             rhs_f = hodge(wedge(a, PForm(n, 1, musical(v, sig))), sig)
-            res_ins = max(res_ins, float(np.max(np.abs(lhs_f.comps - rhs_f.comps))))
+            res_ins = _fold(res_ins, lhs_f.comps - rhs_f.comps)
     for name, res in (
         ("star_squared_sign", res_sq),
         ("star_adjointness", res_adj),
@@ -444,29 +453,20 @@ def run_poincare_suite(seed: int):
     for _ in range(n_random):
         g, h = rand_iso(), rand_iso()
         e = compose(invert(g), g)
-        res_group = max(
-            res_group,
-            float(np.max(np.abs(e.A - np.eye(4)))),
-            float(np.max(np.abs(e.a))),
-        )
+        res_group = _fold(res_group, e.A - np.eye(4), e.a)
         xi, zeta, chi = rand_lie(), rand_lie(), rand_lie()
         for rep in (ad, coad):
             lhs = rep(compose(g, h), xi, sig).components()
             rhs = rep(g, rep(h, xi, sig), sig).components()
-            res_hom = max(res_hom, float(np.max(np.abs(lhs - rhs))))
-        res_transpose = max(
-            res_transpose,
-            abs(
-                pairing(zeta, ad(g, xi, sig), sig)
-                - pairing(ad_transpose(g, zeta, sig), xi, sig)
-            ),
-        )
+            res_hom = _fold(res_hom, lhs - rhs)
+        tr = pairing(zeta, ad(g, xi, sig), sig) - pairing(ad_transpose(g, zeta, sig), xi, sig)
+        res_transpose = _fold(res_transpose, tr)
         jac = (
             lie_bracket(xi, lie_bracket(zeta, chi, sig), sig).components()
             + lie_bracket(zeta, lie_bracket(chi, xi, sig), sig).components()
             + lie_bracket(chi, lie_bracket(xi, zeta, sig), sig).components()
         )
-        res_jacobi = max(res_jacobi, float(np.max(np.abs(jac))))
+        res_jacobi = _fold(res_jacobi, jac)
         EX = bivector_to_matrix(xi.M, sig)
         EZ = bivector_to_matrix(zeta.M, sig)
         pts = rng.standard_normal((4, 4))
@@ -474,13 +474,13 @@ def run_poincare_suite(seed: int):
         Vzeta = fundamental_field(zeta, np.zeros(4), sig)
         commutator = Vxi(pts) @ EZ.T - Vzeta(pts) @ EX.T
         bracket_field = fundamental_field(lie_bracket(xi, zeta, sig), np.zeros(4), sig)
-        res_anti = max(res_anti, float(np.max(np.abs(-commutator - bracket_field(pts)))))
+        res_anti = _fold(res_anti, -commutator - bracket_field(pts))
 
     probe = rng.uniform(-1.5, 1.5, (32, 4))
     res_killing = 0.0
     for xi in momentum_basis(4):
         K = VectorField(fundamental_field(xi, np.zeros(4), sig))
-        res_killing = max(res_killing, killing_residual(K, ETA, probe))
+        res_killing = _fold(res_killing, killing_residual(K, ETA, probe))
     checks = [
         ("group_axioms", res_group, tol),
         ("adjoint_homomorphism", res_hom, tol),

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -126,7 +126,6 @@ class PForm:
     n: int
     p: int
     comps: np.ndarray
-    degree_overflow: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.p <= self.n):
@@ -141,10 +140,6 @@ class PForm:
             raise ValueError("non-finite form components")
         comps.flags.writeable = False
         object.__setattr__(self, "comps", comps)
-
-    @classmethod
-    def zero(cls, n: int, p: int, degree_overflow: bool = False) -> "PForm":
-        return cls(n, p, np.zeros(math.comb(n, p)), degree_overflow)
 
     @classmethod
     def basis(cls, n: int, idx) -> "PForm":
@@ -226,14 +221,14 @@ def _wedge_table(n: int, p: int, q: int) -> tuple:
 def wedge(a: PForm, b: PForm) -> PForm:
     """Antisymmetric product; graded-commutative, a^b = (-1)^{pq} b^a.
 
-    Degrees exceeding n return the zero top form flagged ``degree_overflow``
-    (the exterior algebra vanishes above the top degree).
+    Degrees exceeding n return the zero top form (the exterior algebra
+    vanishes above the top degree).
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     n, p, q = a.n, a.p, b.p
     if p + q > n:
-        return PForm.zero(n, n, degree_overflow=True)
+        return PForm(n, n, np.zeros(1))
     comps = np.zeros(math.comb(n, p + q))
     for out_rank, a_rank, b_rank, sign in _wedge_table(n, p, q):
         comps[out_rank] += sign * a.comps[a_rank] * b.comps[b_rank]

@@ -344,11 +344,12 @@ def active_transform(g_elt: PoincareElement, field):
 
     Contravariant ranks push forward, covariant ranks pull back along the
     inverse, so composition order matches the group law.  Every rank is one
-    constant matrix applied per node by :func:`poincare._matvec`; rank-2
-    fields act on their flattened n*n components through a Kronecker square.
-    A pushed-forward (2,0) field takes its flux contract-first,
+    constant matrix applied per node by :func:`poincare._matvec`; a metric
+    acts on its flattened n*n components through a Kronecker square.
+    A (2,0) field has one law, its flux taken contract-first,
     (g_* T)(., n) = A T(g^-1 x) (A^T n): the covector is pulled back once,
-    the source gives its own flux, and one n x n map acts per node.
+    the source gives its own flux, and one n x n map acts per node.  Its
+    components are the fluxes through the coordinate covectors e_b.
     """
     ginv = invert(g_elt)
     A, Ainv = g_elt.A, ginv.A
@@ -369,7 +370,10 @@ def active_transform(g_elt: PoincareElement, field):
         def flux(points, n_low):
             return _matvec(field.flux(ginv.apply(points), A.T @ n_low), A)
 
-        return SymTensorField(mapped(np.kron(A, A), rank=2), flux_func=flux)
+        def comps(points):  # column b: T^{ab} = (g_* T)(., e_b)^a
+            return np.stack([flux(points, e) for e in np.eye(len(A))], axis=-1)
+
+        return SymTensorField(comps, flux_func=flux)
     if isinstance(field, FormField):
         n, p = field.n, field.p
         if p == 0:

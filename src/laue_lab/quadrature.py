@@ -346,8 +346,8 @@ def flux_charge_normal_form(J: VectorField, patch: HyperplanePatch, g: MetricFie
 
 
 def patch_moments(T: SymTensorField, patch: HyperplanePatch) -> np.ndarray:
-    """The weighted moment M0^{ab} = sum w T^{ab} that the four-momentum, the
-    stress integrals and the weak-field mass of T on the patch contract,
+    """The weighted moment M0^{ab} = sum w T^{ab} that the stress integrals,
+    the weak-field mass and the classical P of T on the patch contract,
     where w is the rule weight times the induced-measure factor.  The patch
     is sampled once.
     """
@@ -361,8 +361,12 @@ def patch_moments(T: SymTensorField, patch: HyperplanePatch) -> np.ndarray:
 
 
 def four_momentum(T: SymTensorField, patch: HyperplanePatch) -> np.ndarray:
-    """Row-current fluxes: the integral of T^{a b} n_b over the patch."""
-    return patch_moments(T, patch) @ (patch.sig.matrix @ patch.normal)
+    """Row-current fluxes: the integral of j^a = T^{ab} n_b over the patch, the
+    translation sector of :func:`momentum_map`, n rows per node from T.flux."""
+    n_low = patch.sig.matrix @ patch.normal
+    return _reduce_patch(
+        lambda pts: T.flux(pts, n_low), patch, _measure_factor(patch), lambda jv, pts, w: jv.T * w
+    )
 
 
 def stress_integrals(M0: np.ndarray, patch: HyperplanePatch) -> dict:
@@ -429,7 +433,8 @@ def _generator_pairing(sig: Signature):
 def _flux_moments(T: SymTensorField, patch: HyperplanePatch, n_low, origin: np.ndarray):
     """F0^a = sum w j^a and F1^{ac} = sum (w j^a) (x - origin)^c of the
     normal flux j^a = T^{ab} n_b, sampled per node by :meth:`SymTensorField.flux`
-    (n + n^2 rows instead of the n^2 + n^3 of T and its first moment)."""
+    as in :func:`four_momentum` (n + n^2 rows instead of the n^2 + n^3 of T
+    and its first moment)."""
     n = patch.sig.n
 
     def weighted_rows(jv, pts, w):

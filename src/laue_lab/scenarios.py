@@ -142,7 +142,7 @@ def run_scenario(
     extras = {}
     if spec.stationary:
         stress = stress_integrals(M0, patch)
-        L_int, passive_mass, residual = _weak_ep(M0, -1.0, patch)
+        passive_mass, residual = _weak_ep(M0, patch)
         extras["passive_mass"] = passive_mass
         extras["tolman_integrand_residual"] = residual
     return ScenarioResult(
@@ -323,15 +323,12 @@ def build(name: str, **params):
     return SymTensorField(func), spec
 
 
-def _weak_ep(M0: np.ndarray, phi_value: float, patch: HyperplanePatch):
-    """Static weak-field coupling integral in the potential ``phi_value`` and
-    the passive mass it implies, read off the moment M0^{ab} = integral of
-    T^{ab} over the patch.
-
-    Returns (L_int, passive_mass, integrand_identity_residual), where the
-    residual checks that the energy-plus-stress-trace combination equals
-    twice the trace-reversed tensor contracted with the slice normal.  The
-    identity is linear in T, so on M0 it is the same algebra as at each node.
+def _weak_ep(M0: np.ndarray, patch: HyperplanePatch):
+    """(passive_mass, integrand_identity_residual) of the static weak field:
+    the mass is the energy-plus-stress-trace combination of the moment
+    M0^{ab} = integral of T^{ab} over the patch, and the residual checks that
+    it equals twice the trace-reversed M0 contracted with the slice normal.
+    The identity is linear in T, so on M0 it is the same algebra as at each node.
     """
     combo = M0[0, 0] + M0[1, 1] + M0[2, 2] + M0[3, 3]
     eta = patch.sig.matrix
@@ -339,8 +336,7 @@ def _weak_ep(M0: np.ndarray, phi_value: float, patch: HyperplanePatch):
     n_low = eta @ patch.normal
     trace_reversed = M0 - 0.5 * trace * np.linalg.inv(eta)
     projected = 2.0 * n_low @ trace_reversed @ n_low
-    L_int = phi_value * combo
-    return L_int, L_int / phi_value, float(abs(combo - projected))
+    return combo, float(abs(combo - projected))
 
 
 def coulomb_pair_energy(charges) -> float:

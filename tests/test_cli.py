@@ -92,6 +92,25 @@ def test_fake_covariance_command(capsys):
     assert ",fail" not in out
 
 
+def test_fake_covariance_catches_a_wrong_flux_pullback(monkeypatch, capsys):
+    # plant A n for the covector pull-back A^T n in every transformed flux:
+    # laue fake integrates the transformed field through its flux only
+    from laue_lab import checkers
+    from laue_lab.fields import active_transform
+    from laue_lab.poincare import _matvec, invert
+
+    def planted(g, T):
+        def flux(points, n_low):
+            return _matvec(T.flux(invert(g).apply(points), g.A @ n_low), g.A)
+
+        return SymTensorField(active_transform(g, T).func, flux_func=flux)
+
+    monkeypatch.setattr(checkers, "active_transform", planted)
+    code, out, _ = run(capsys, "laue", "fake", "--grid-n", "12")
+    assert code == EXIT_VERDICT
+    assert out.count(",fail") == 5
+
+
 def test_equivariance_command(capsys):
     code, out, _ = run(
         capsys, "laue", "equivariance", "--scenario", "gaussian_dust", "--grid-n", "24",
@@ -249,6 +268,21 @@ def test_nan_residual_is_numeric_fault(monkeypatch, capsys, argv, name, field):
     assert code == EXIT_NUMERIC
     assert out == ""
     assert err.startswith("numeric fault: non-finite sample")
+
+
+def test_nan_translation_in_poincare_suite_is_numeric_fault(monkeypatch, capsys):
+    # every composed element gets a NaN translation; the group-law folds
+    # must raise rather than keep their finite running maximum
+    from laue_lab.poincare import PoincareElement
+
+    compose = cli.compose
+    monkeypatch.setattr(
+        cli, "compose", lambda g, h: PoincareElement(np.full(4, np.nan), compose(g, h).A)
+    )
+    code, out, err = run(capsys, "verify", "poincare")
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("numeric fault: non-finite residual")
 
 
 @pytest.mark.parametrize("suite", ["identities", "geometric", "conservation"])

@@ -176,10 +176,9 @@ def test_wedge_associativity():
     assert np.allclose(lhs.comps, rhs.comps, atol=1e-12)
 
 
-def test_wedge_degree_overflow_returns_flagged_zero():
+def test_wedge_degree_overflow_returns_zero_top_form():
     n = 3
     w = wedge(random_form(n, 2), random_form(n, 2))
-    assert w.degree_overflow
     assert w.p == n
     assert np.allclose(w.comps, 0.0)
 

@@ -268,15 +268,19 @@ def test_default_flux_is_component_einsum():
 
 @pytest.mark.parametrize("label", ["g0", "g1", "g2", "g3", "g4", "g1 after g3"])
 def test_transformed_flux_matches_component_einsum(label):
-    # the contract-first flux A T(g^-1 x) (A^T n) against the 16 pushed components
+    # the contract-first flux against the pushed components A T(g^-1 x) A^T
+    # contracted with n, written out inline
     elements = dict(seeded_elements(7))
     T = full_symmetric_field()
     if label == "g1 after g3":
         T_g = active_transform(elements["g1"], active_transform(elements["g3"], T))
+        g = compose(elements["g1"], elements["g3"])
     else:
         T_g = active_transform(elements[label], T)
+        g = elements[label]
     pts = RNG.standard_normal((3, 50, 4))
-    ref = np.einsum("...ab,b->...a", T_g(pts), FLUX_N_LOW)
+    under = (pts - g.a) @ np.linalg.inv(g.A).T
+    ref = np.einsum("ac,...cd,bd,b->...a", g.A, T(under), g.A, FLUX_N_LOW)
     got = T_g.flux(pts, FLUX_N_LOW)
     assert got.shape == ref.shape and np.max(np.abs(ref)) > 0.1
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

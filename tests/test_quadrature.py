@@ -308,6 +308,21 @@ def test_four_momentum_equals_row_current_fluxes():
         assert flux_charge(row, patch, ETA) == pytest.approx(P[a], abs=1e-10)
 
 
+def test_four_momentum_reads_only_the_flux():
+    # a field that yields its normal flux but no components integrates to the
+    # plain field's P, on a time slice and on a boosted one
+    dust = make_static_dust(1.0, 0.7)
+
+    def no_components(points):
+        raise AssertionError("four_momentum sampled the components")
+
+    flux_only = SymTensorField(no_components, flux_func=dust.flux)
+    patch = HyperplanePatch.time_slice(SIG, half_widths=4.0, grid=(24,))
+    for p in (patch, transform_patch(standard_boost(1, 0.4), patch)):
+        P = four_momentum(flux_only, p)
+        assert P[0] > 0.5 and np.array_equal(P, four_momentum(dust, p))
+
+
 def test_laue_integrals_gaussian_dust():
     dust = make_static_dust()
     patch = HyperplanePatch.time_slice(SIG, half_widths=8.0, grid=(48,))
@@ -637,7 +652,9 @@ def test_transformed_moments_bitwise_across_threads(monkeypatch, two_cpus):
     M0_2 = patch_moments(T_g, image)
     F0_2, F1_2 = _flux_moments(T_g, image, n_low, origin)
     main = threading.main_thread()
-    assert [t is main for t in seen] == [True] * 4 + [False] * 4  # pooled under 2
+    # per tile, the components read four source fluxes (one per e_b) and the
+    # flux moments one: two tiles per pass, pooled under 2
+    assert [t is main for t in seen] == [True] * 10 + [False] * 10
     assert np.array_equal(M0_1, M0_2)
     assert np.array_equal(F0_1, F0_2) and np.array_equal(F1_1, F1_2)
 
