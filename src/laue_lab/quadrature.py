@@ -52,9 +52,10 @@ LAUE_NAMES = ("T01", "T02", "T03", "T11", "T12", "T13", "T22", "T23", "T33")
 
 
 BLOCK = 128
-# 512 = 2**9 blocks: every tile but the last is a whole subtree of the
-# pairwise tree, so pairwise-summing the tile sums is the whole-column sum
-TILE = 65536
+# 64 = 2**6 blocks: every tile but the last is a whole subtree of the
+# pairwise tree, so pairwise-summing the tile sums is the whole-column sum.
+# A tile of n**2 samples (1 MB at n = 4) fits in one core's L2.
+TILE = 8192
 
 
 def _pair_tree(partials: np.ndarray) -> np.ndarray:
@@ -86,10 +87,15 @@ def pairwise_sum(values: np.ndarray):
 
 
 def _thread_count() -> int:
-    """``LAUE_LAB_THREADS``, at least 1 and at most ``os.cpu_count()``."""
+    """``LAUE_LAB_THREADS``, at least 1 and at most the CPUs this process may
+    run on: its affinity mask where the platform has one, else the host's."""
     raw = os.environ.get("LAUE_LAB_THREADS", "1")
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     try:
-        return min(max(1, int(raw)), os.cpu_count() or 1)
+        return min(max(1, int(raw)), cpus)
     except ValueError:
         return 1
 

@@ -31,13 +31,16 @@ from laue_lab.poincare import (
     standard_boost,
     translation,
 )
+from laue_lab import quadrature
 from laue_lab.quadrature import (
+    BLOCK,
     LAUE_NAMES,
     TILE,
     HyperplanePatch,
     _flux_moments,
     _measure_factor,
     _thread_count,
+    evaluate_tiled,
     flux_charge,
     flux_charge_normal_form,
     four_momentum,
@@ -525,15 +528,50 @@ def test_custom_rule_patch_momentum():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """At least two CPUs as seen by the thread clamp, so the pool runs on any host."""
-    cpus = os.cpu_count() or 1
-    monkeypatch.setattr(os, "cpu_count", lambda: max(2, cpus))
+    """At least two usable CPUs as seen by the thread clamp, so the pool runs
+    on any host and under any affinity mask."""
+    cpus = set(range(max(2, os.cpu_count() or 1)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+def tile_count(patch):
+    """Tiles in one pass over the patch; each pooled test needs several,
+    the last of them partial."""
+    m = len(patch.nodes_weights()[1])
+    assert m > TILE and m % TILE, f"{m} nodes must span several {TILE}-node tiles, the last partial"
+    return -(-m // TILE)
 
 
 def test_thread_count_is_clamped(monkeypatch):
-    for raw, want in [("1000000", os.cpu_count() or 1), ("0", 1), ("-3", 1), ("two", 1)]:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for raw, want in [("1000000", 3), ("2", 2), ("0", 1), ("-3", 1), ("two", 1)]:
         monkeypatch.setenv("LAUE_LAB_THREADS", raw)
         assert _thread_count() == want
+    # without an affinity call the host's CPU count is the clamp
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setenv("LAUE_LAB_THREADS", "1000000")
+    assert _thread_count() == 64
+
+
+def test_narrow_affinity_starts_no_threads(monkeypatch):
+    # a host with many CPUs, of which this process may run on one
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    monkeypatch.setenv("LAUE_LAB_THREADS", "4")
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    on_main = []
+
+    def f(points):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return np.cos(np.asarray(points)[..., 1])
+
+    patch = HyperplanePatch.time_slice(SIG, half_widths=1.0, grid=(47,))
+    integrate_scalar_density(f, patch)
+    assert on_main == [True] * tile_count(patch)
+    assert started == []
 
 
 def test_determinism_across_thread_env(monkeypatch, two_cpus):
@@ -544,13 +582,15 @@ def test_determinism_across_thread_env(monkeypatch, two_cpus):
         points = np.asarray(points)
         return np.cos(points[..., 1] * 3.0) + points[..., 2] ** 2
 
-    # 48^3 = 110,592 nodes are two 65,536-node tiles, so the pool runs
-    patch = HyperplanePatch.time_slice(SIG, half_widths=1.0, grid=(48,))
+    # 47^3 = 103,823 nodes, odd: several tiles at any tile size below that,
+    # the last partial, so the pool runs
+    patch = HyperplanePatch.time_slice(SIG, half_widths=1.0, grid=(47,))
+    tiles = tile_count(patch)
     monkeypatch.setenv("LAUE_LAB_THREADS", "1")
     v1 = integrate_scalar_density(f, patch)
     monkeypatch.setenv("LAUE_LAB_THREADS", "4")
     v4 = integrate_scalar_density(f, patch)
-    assert on_main == [True, True, False, False]  # two tiles, pooled under 4
+    assert on_main == [True] * tiles + [False] * tiles  # one call per tile, pooled under 4
     assert v1 == v4  # bitwise equal
 
 
@@ -587,11 +627,12 @@ def test_pairwise_sum_keeps_the_recursive_tree(m):
     assert list(got) == ref  # column input, bitwise
 
 
-def two_tile_patch():
-    # a boosted, shifted 48^3 box: 110,592 nodes in two tiles, and a measure
-    # factor and frame that are not exactly the coordinate ones
+def multi_tile_patch():
+    # a boosted, shifted 47^3 box: 103,823 nodes in several tiles, the last
+    # partial, and a measure factor and frame that are not exactly the
+    # coordinate ones
     g = compose(standard_boost(1, 0.3), translation([0.1, 0.2, -0.1, 0.05]))
-    return transform_patch(g, HyperplanePatch.time_slice(SIG, half_widths=2.0, grid=(48,)))
+    return transform_patch(g, HyperplanePatch.time_slice(SIG, half_widths=2.0, grid=(47,)))
 
 
 def test_patch_moments_bitwise_across_threads_and_whole_array(monkeypatch, two_cpus):
@@ -603,7 +644,8 @@ def test_patch_moments_bitwise_across_threads_and_whole_array(monkeypatch, two_c
         return dust(points)
 
     T = SymTensorField(T)
-    patch = two_tile_patch()
+    patch = multi_tile_patch()
+    tiles = tile_count(patch)
     origin = np.array([0.0, 0.3, -0.2, 0.1])
     n_low = SIG.matrix @ patch.normal
     monkeypatch.setenv("LAUE_LAB_THREADS", "1")
@@ -612,7 +654,8 @@ def test_patch_moments_bitwise_across_threads_and_whole_array(monkeypatch, two_c
     monkeypatch.setenv("LAUE_LAB_THREADS", "2")
     M0_2 = patch_moments(T, patch)
     F0_2, F1_2 = _flux_moments(T, patch, n_low, origin)
-    assert on_main == [True] * 4 + [False] * 4  # two tiles per pass, pooled under 2
+    # one call per tile in each of two passes, pooled under 2
+    assert on_main == [True] * (2 * tiles) + [False] * (2 * tiles)
     assert np.array_equal(M0_1, M0_2)
     assert np.array_equal(F0_1, F0_2) and np.array_equal(F1_1, F1_2)
 
@@ -642,7 +685,8 @@ def test_transformed_moments_bitwise_across_threads(monkeypatch, two_cpus):
 
     g = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translation([0.2, -0.1, 0.3, 0.5])))
     T_g = active_transform(g, SymTensorField(T))
-    image = transform_patch(g, two_tile_patch())
+    image = transform_patch(g, multi_tile_patch())
+    tiles = tile_count(image)
     origin = np.array([0.1, -0.3, 0.2, 0.4])
     n_low = SIG.matrix @ image.normal
     monkeypatch.setenv("LAUE_LAB_THREADS", "1")
@@ -653,8 +697,8 @@ def test_transformed_moments_bitwise_across_threads(monkeypatch, two_cpus):
     F0_2, F1_2 = _flux_moments(T_g, image, n_low, origin)
     main = threading.main_thread()
     # per tile, the components read four source fluxes (one per e_b) and the
-    # flux moments one: two tiles per pass, pooled under 2
-    assert [t is main for t in seen] == [True] * 10 + [False] * 10
+    # flux moments one, pooled under 2
+    assert [t is main for t in seen] == [True] * (5 * tiles) + [False] * (5 * tiles)
     assert np.array_equal(M0_1, M0_2)
     assert np.array_equal(F0_1, F0_2) and np.array_equal(F1_1, F1_2)
 
@@ -671,7 +715,8 @@ def test_completed_shell_moments_bitwise_across_threads(monkeypatch, two_cpus):
         return shell(points)
 
     T = SymTensorField(T)
-    patch = spec.slice_patch(SIG, scale=0.75)  # 116,640 nodes: two tiles
+    patch = spec.slice_patch(SIG, scale=0.75)  # 119,232 = 1,863 * 64 nodes
+    tiles = tile_count(patch)
     g = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translation([0.2, -0.1, 0.3, 0.5])))
     T_g, image = active_transform(g, T), transform_patch(g, patch)
     origin = np.array([0.1, -0.3, 0.2, 0.4])
@@ -680,9 +725,52 @@ def test_completed_shell_moments_bitwise_across_threads(monkeypatch, two_cpus):
     monkeypatch.setenv("LAUE_LAB_THREADS", "2")
     M0_2, mv_2 = patch_moments(T, patch), momentum_map(T_g, image, origin)
     main = threading.main_thread()
-    assert [t is main for t in seen] == [True] * 4 + [False] * 4  # pooled under 2
+    # one call per tile for the moments and one for the image's flux, pooled under 2
+    assert [t is main for t in seen] == [True] * (2 * tiles) + [False] * (2 * tiles)
     assert np.array_equal(M0_1, M0_2)
     assert np.array_equal(mv_1.fluxes, mv_2.fluxes)
+
+
+def test_tile_is_a_whole_subtree_of_the_pairwise_tree():
+    blocks = TILE // BLOCK
+    assert TILE % BLOCK == 0 and blocks & (blocks - 1) == 0  # a power of two
+
+
+@pytest.mark.parametrize("tile", [128, 1024, 8192, 65536])
+def test_reduce_patch_bitwise_at_any_tile_size(monkeypatch, tile):
+    # reference at the module's own tile size; each tile size must give the
+    # same bits, since a power-of-two tile is a subtree of the same tree
+    dust = make_static_dust(1.0, 0.7)
+    box = multi_tile_patch()
+    assert len(box.nodes_weights()[1]) % BLOCK
+    shell, spec = build("completed_shell")
+    g = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translation([0.2, -0.1, 0.3, 0.5])))
+    shell_g, image = active_transform(g, shell), transform_patch(g, spec.slice_patch(SIG, scale=0.4))
+    origin = np.array([0.1, -0.3, 0.2, 0.4])
+    M0_ref, mv_ref = patch_moments(dust, box), momentum_map(shell_g, image, origin)
+    monkeypatch.setattr(quadrature, "TILE", tile)
+    assert np.array_equal(patch_moments(dust, box), M0_ref)
+    mv = momentum_map(shell_g, image, origin)
+    assert np.array_equal(mv.fluxes, mv_ref.fluxes)
+    assert np.array_equal(mv.components(), mv_ref.components())
+
+
+def test_samples_stay_within_one_tile():
+    dust = make_static_dust(1.0, 0.7)
+    sizes = []
+
+    def T(points):
+        sizes.append(len(points))
+        return dust(points)
+
+    patch = multi_tile_patch()
+    m = len(patch.nodes_weights()[1])
+    patch_moments(SymTensorField(T), patch)
+    assert m > TILE and sum(sizes) == m and max(sizes) <= TILE
+    sizes.clear()
+    pts = patch.points()
+    assert np.array_equal(evaluate_tiled(T, pts), dust(pts))
+    assert sum(sizes) == m and max(sizes) <= TILE
 
 
 def test_momentum_map_fluxes_match_moment_route():
