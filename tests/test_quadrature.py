@@ -616,7 +616,7 @@ def recursive_pairwise_sum(values):
     return float(arr[0])
 
 
-@pytest.mark.parametrize("m", [0, 1, 127, 128, 129, 65_541, 2 * TILE + 5])
+@pytest.mark.parametrize("m", [0, 1, 127, 128, 129, 65_541, 131_077, 2 * TILE + 5])
 def test_pairwise_sum_keeps_the_recursive_tree(m):
     rng = np.random.default_rng(m)
     cols = rng.standard_normal((m, 3)) * np.exp(rng.uniform(-20.0, 20.0, (m, 3)))
