@@ -164,6 +164,16 @@ def _resolve_domain(domain, sig: Signature, scale: float, outer=None):
     raise TypeError(f"expected ScenarioSpec or HyperplanePatch, got {type(domain)!r}")
 
 
+def _reference(value) -> float:
+    """The scale a relative residual divides by.  A zero one means the check
+    measured nothing (a residual of NaN, or a vacuous 0), so it raises, as
+    does a non-finite one."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise FloatingPointError(f"relative residual against a reference of {value!r}")
+    return value
+
+
 def classical_laue_report(
     T: SymTensorField,
     domain,
@@ -196,6 +206,7 @@ def classical_laue_report(
     P = M0 @ (patch.sig.matrix @ patch.normal)
     stress = stress_integrals(M0, patch)
     S11, S12, S13 = stress["T11"], stress["T12"], stress["T13"]
+    scale0 = _reference(abs(P[0]))
     entries = []
     for beta in betas:
         gamma = 1.0 / math.sqrt(1.0 - beta * beta)
@@ -214,7 +225,6 @@ def classical_laue_report(
         P_fv = np.array(
             [gamma * (P[0] + beta * P[1]), gamma * (P[1] + beta * P[0]), P[2], P[3]]
         )
-        scale0 = abs(P[0])
         entries.append(
             BoostEntry(
                 beta,
@@ -248,8 +258,7 @@ def fake_covariance_check(
     P = four_momentum(T, patch)
     image = transform_patch(g, patch)
     P_image = four_momentum(active_transform(g, T), image)
-    ref = max(float(np.max(np.abs(P))), 1e-300)
-    return float(np.max(np.abs(P_image - g.A @ P))) / ref
+    return float(np.max(np.abs(P_image - g.A @ P))) / _reference(np.max(np.abs(P)))
 
 
 def gauss_residual(
@@ -424,8 +433,7 @@ def equivariance_report(
     if restricted and isinstance(domain, ScenarioSpec) and not domain.conserved:
         raise ValueError("restricted equivariance requires a conserved scenario")
     base = momentum_map(T, patch, origin)
-    ref = float(np.linalg.norm(base.components()))
-    ref = max(ref, 1e-300)
+    ref = _reference(np.linalg.norm(base.components()))
     entries = []
     for label, g in g_list:
         if not is_isometry(g, sig):

@@ -108,10 +108,6 @@ class PoinLieElement:
     def n(self) -> int:
         return self.P.shape[0]
 
-    @classmethod
-    def zero(cls, n: int) -> "PoinLieElement":
-        return cls(np.zeros(n), np.zeros(math.comb(n, 2)))
-
     def components(self) -> np.ndarray:
         """Concatenated (P, M) coefficient vector."""
         return np.concatenate([self.P, self.M])

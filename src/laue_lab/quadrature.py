@@ -7,15 +7,13 @@ radially adapted rules on scenario fields with 1/r^4 tails).  Node
 placement lives in tangent coordinates, so transforming a patch maps nodes
 exactly onto nodes and change-of-variables identities hold to roundoff.
 
-Sums are fixed-order pairwise reductions, deterministic across tile counts
-and thread counts (``LAUE_LAB_THREADS`` caps the evaluation pool).
+Sums are fixed-order pairwise reductions over one tile at a time,
+deterministic across runs and tile sizes.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
@@ -86,37 +84,13 @@ def pairwise_sum(values: np.ndarray):
     return sums if columns else float(sums[0])
 
 
-def _thread_count() -> int:
-    """``LAUE_LAB_THREADS``, at least 1 and at most the CPUs this process may
-    run on: its affinity mask where the platform has one, else the host's."""
-    raw = os.environ.get("LAUE_LAB_THREADS", "1")
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    try:
-        return min(max(1, int(raw)), cpus)
-    except ValueError:
-        return 1
-
-
-def _map_tiles(work: Callable, m: int) -> list:
-    """``work(lo, hi)`` on the tiles of range(m), pooled; results in tile order."""
-    bounds = [(lo, min(lo + TILE, m)) for lo in range(0, m, TILE)]
-    workers = _thread_count()
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda b: work(*b), bounds))
-    return [work(lo, hi) for lo, hi in bounds]
-
-
 def evaluate_tiled(func: Callable, points: np.ndarray) -> np.ndarray:
     """Evaluate a batched field tile by tile; tile order fixes the result."""
     points = np.asarray(points, float)
     if points.shape[0] <= TILE:
         return np.asarray(func(points), float)
     return np.concatenate(
-        _map_tiles(lambda lo, hi: np.asarray(func(points[lo:hi]), float), points.shape[0])
+        [np.asarray(func(points[lo : lo + TILE]), float) for lo in range(0, len(points), TILE)]
     )
 
 
@@ -289,19 +263,18 @@ def _reduce_patch(func: Callable, patch: HyperplanePatch, factor: float, weighte
     Tile by tile it forms the points, samples ``func``, rejects non-finite
     samples and pairwise-sums each row; the tile sums then go through the
     same pairwise tree, so every result is bitwise the pairwise sum of the
-    whole row, at any thread count, while memory stays bounded by the tile.
+    whole row, while memory stays bounded by the one tile in flight.
     """
     nodes, weights = patch.nodes_weights()
     weights = weights * factor
-
-    def tile_sums(lo, hi):
-        pts = patch.points(nodes[lo:hi])
+    sums = []
+    for lo in range(0, len(weights), TILE):
+        pts = patch.points(nodes[lo : lo + TILE])
         vals = evaluate_tiled(func, pts)
         _require_finite(vals, pts)
         # the transpose of the rows is column input that needs no copy
-        return pairwise_sum(weighted_rows(vals, pts, weights[lo:hi]).T)
-
-    return _pair_tree(np.stack(_map_tiles(tile_sums, len(weights)), axis=-1))
+        sums.append(pairwise_sum(weighted_rows(vals, pts, weights[lo : lo + TILE]).T))
+    return _pair_tree(np.stack(sums, axis=-1))
 
 
 def integrate_form(omega, patch: HyperplanePatch) -> float:

@@ -64,25 +64,23 @@ class ScenarioSpec:
     def slice_patch(
         self,
         sig: Signature,
-        t: float = 0.0,
         scale: float = 1.0,
         outer: Optional[float] = None,
     ) -> HyperplanePatch:
-        """Constant-time patch carrying the scenario's preferred rule."""
-        return self.adapted_slice_patch(None, sig, t=t, scale=scale, outer=outer)
+        """Patch on x^0 = 0 carrying the scenario's preferred rule."""
+        return self.adapted_slice_patch(None, sig, scale=scale, outer=outer)
 
     def adapted_slice_patch(
         self,
         g: Optional[PoincareElement],
         sig: Signature,
-        t: float = 0.0,
         scale: float = 1.0,
         outer: Optional[float] = None,
     ) -> HyperplanePatch:
-        """Patch on x^0 = t with nodes adapted to the g-image of the scenario.
+        """Patch on x^0 = 0 with nodes adapted to the g-image of the scenario.
 
         Nodes are generated in the comoving spatial coordinates
-        u = spatial(g^{-1}(t, x)), where the transformed field keeps its
+        u = spatial(g^{-1}(0, x)), where the transformed field keeps its
         original shape, then mapped back to slice coordinates.  ``g = None``
         or the identity reproduces the plain centered rule.
         """
@@ -95,13 +93,11 @@ class ScenarioSpec:
         else:
             ginv = invert(g)
             S = ginv.A[1:, 1:]
-            point0 = np.zeros(n)
-            point0[0] = t
-            shift = (ginv.apply(point0))[1:]
+            shift = ginv.apply(np.zeros(n))[1:]
             if abs(np.linalg.det(S)) < 1e-12:
                 raise ValueError("slice is degenerate in adapted coordinates")
         nodes, weights = map_rule_affine(*self.rule(scale, outer), S, shift)
-        base = HyperplanePatch.time_slice(sig, t=t, half_widths=1.0, grid=(2,))
+        base = HyperplanePatch.time_slice(sig, half_widths=1.0, grid=(2,))
         return base.with_rule(nodes, weights)
 
 

@@ -285,6 +285,18 @@ def test_nan_translation_in_poincare_suite_is_numeric_fault(monkeypatch, capsys)
     assert err.startswith("numeric fault: non-finite residual")
 
 
+@pytest.mark.parametrize("check", ["classical", "fake", "equivariance"])
+def test_zero_reference_is_numeric_fault(tmp_path, capsys, check):
+    # with P = 0 a relative residual is NaN or a vacuous 0: the check measured
+    # nothing, so it emits no rows and neither passes nor fails
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[scenario.gaussian_dust]\nsigma = 1e-120\n")
+    code, out, err = run(capsys, "--config", str(cfg), "laue", check, "--grid-n", "8", "--format", "json")
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err == "numeric fault: relative residual against a reference of 0.0\n"
+
+
 @pytest.mark.parametrize("suite", ["identities", "geometric", "conservation"])
 @pytest.mark.parametrize("h", ["0", "-0.001"])
 def test_non_positive_fd_h_is_usage_error(capsys, suite, h):
@@ -490,7 +502,8 @@ def test_every_accepted_flag_is_read(monkeypatch, command, check):
     assert set(vars(args)) - exempt - reads == set()
 
 
-# public src/ names that no other src/ definition names, each with why it stays.
+# public src/ names, of functions, classes, methods and properties, that no
+# other src/ definition names, each with why it stays.
 # perfbench/spans.py also looks up by attribute the field classes, their own
 # __call__ and HyperplanePatch.rule_nodes, so those may not be renamed either.
 KEEP = {
@@ -503,14 +516,26 @@ KEEP = {
     "coulomb_pair_energy": "the potential energy virial_check balances",
     "alt": "test oracle of the wedge convention",
     "identity": "test oracle of the group axioms",
+    "to_dense": "test oracle of the sparse PForm components",
+    "from_dense": "test oracle of the sparse PForm components",
+    "biconditional_consistent": "acceptance criterion 4 reads it",
 }
 
 
 def test_every_public_function_is_reached():
-    # each top-level public function or class of src/ is named, as a name or an
-    # attribute (not in a string), by another top-level statement there, or is
-    # kept above; __init__.py only re-exports, so it does not count
+    # each top-level public function or class of src/, and each public method
+    # or property of its classes, is named, as a name or an attribute (not in
+    # a string), by another definition there, or is kept above; __init__.py
+    # only re-exports, so it does not count
     defined, named = {}, set()
+
+    def visit(node, own):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id not in own:
+                named.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and sub.attr not in own:
+                named.add(sub.attr)
+
     for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
             continue
@@ -520,11 +545,14 @@ def test_every_public_function_is_reached():
             own = getattr(node, "name", None)
             if own and not own.startswith("_"):
                 defined[own] = path.stem
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and sub.id != own:
-                    named.add(sub.id)
-                elif isinstance(sub, ast.Attribute) and sub.attr != own:
-                    named.add(sub.attr)
+            if not isinstance(node, ast.ClassDef):
+                visit(node, {own})
+                continue
+            for item in node.bases + node.keywords + node.decorator_list + node.body:
+                meth = item.name if isinstance(item, ast.FunctionDef) else None
+                if meth and not meth.startswith("_"):
+                    defined[meth] = f"{path.stem}.{own}"
+                visit(item, {own, meth})
     unreached = sorted(f"{mod}.{name}" for name, mod in defined.items()
                        if name not in named and name not in KEEP)
     assert unreached == []

@@ -39,7 +39,6 @@ from laue_lab.quadrature import (
     HyperplanePatch,
     _flux_moments,
     _measure_factor,
-    _thread_count,
     evaluate_tiled,
     flux_charge,
     flux_charge_normal_form,
@@ -526,38 +525,18 @@ def test_custom_rule_patch_momentum():
     assert P[0] == pytest.approx(math.pi**1.5 * 0.7**3, rel=1e-7)
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """At least two usable CPUs as seen by the thread clamp, so the pool runs
-    on any host and under any affinity mask."""
-    cpus = set(range(max(2, os.cpu_count() or 1)))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-
-
 def tile_count(patch):
-    """Tiles in one pass over the patch; each pooled test needs several,
+    """Tiles in one pass over the patch; each tiled test needs several,
     the last of them partial."""
     m = len(patch.nodes_weights()[1])
     assert m > TILE and m % TILE, f"{m} nodes must span several {TILE}-node tiles, the last partial"
     return -(-m // TILE)
 
 
-def test_thread_count_is_clamped(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    for raw, want in [("1000000", 3), ("2", 2), ("0", 1), ("-3", 1), ("two", 1)]:
-        monkeypatch.setenv("LAUE_LAB_THREADS", raw)
-        assert _thread_count() == want
-    # without an affinity call the host's CPU count is the clamp
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setenv("LAUE_LAB_THREADS", "1000000")
-    assert _thread_count() == 64
-
-
-def test_narrow_affinity_starts_no_threads(monkeypatch):
-    # a host with many CPUs, of which this process may run on one
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+def test_tiles_run_on_the_main_thread(monkeypatch):
+    # neither a pool setting nor four usable CPUs starts a thread: every
+    # tile is sampled, one at a time, on the calling thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setenv("LAUE_LAB_THREADS", "4")
     started = []
     start = threading.Thread.start
@@ -572,26 +551,6 @@ def test_narrow_affinity_starts_no_threads(monkeypatch):
     integrate_scalar_density(f, patch)
     assert on_main == [True] * tile_count(patch)
     assert started == []
-
-
-def test_determinism_across_thread_env(monkeypatch, two_cpus):
-    on_main = []
-
-    def f(points):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        points = np.asarray(points)
-        return np.cos(points[..., 1] * 3.0) + points[..., 2] ** 2
-
-    # 47^3 = 103,823 nodes, odd: several tiles at any tile size below that,
-    # the last partial, so the pool runs
-    patch = HyperplanePatch.time_slice(SIG, half_widths=1.0, grid=(47,))
-    tiles = tile_count(patch)
-    monkeypatch.setenv("LAUE_LAB_THREADS", "1")
-    v1 = integrate_scalar_density(f, patch)
-    monkeypatch.setenv("LAUE_LAB_THREADS", "4")
-    v4 = integrate_scalar_density(f, patch)
-    assert on_main == [True] * tiles + [False] * tiles  # one call per tile, pooled under 4
-    assert v1 == v4  # bitwise equal
 
 
 # --- the streamed sample-and-reduce pass ---
@@ -635,29 +594,21 @@ def multi_tile_patch():
     return transform_patch(g, HyperplanePatch.time_slice(SIG, half_widths=2.0, grid=(47,)))
 
 
-def test_patch_moments_bitwise_across_threads_and_whole_array(monkeypatch, two_cpus):
+def test_patch_moments_bitwise_equal_to_whole_array_tree():
     dust = make_static_dust(1.0, 0.7)
-    on_main = []
+    calls = []
 
     def T(points):
-        on_main.append(threading.current_thread() is threading.main_thread())
+        calls.append(len(points))
         return dust(points)
 
     T = SymTensorField(T)
     patch = multi_tile_patch()
-    tiles = tile_count(patch)
     origin = np.array([0.0, 0.3, -0.2, 0.1])
     n_low = SIG.matrix @ patch.normal
-    monkeypatch.setenv("LAUE_LAB_THREADS", "1")
-    M0_1 = patch_moments(T, patch)
-    F0_1, F1_1 = _flux_moments(T, patch, n_low, origin)
-    monkeypatch.setenv("LAUE_LAB_THREADS", "2")
-    M0_2 = patch_moments(T, patch)
-    F0_2, F1_2 = _flux_moments(T, patch, n_low, origin)
-    # one call per tile in each of two passes, pooled under 2
-    assert on_main == [True] * (2 * tiles) + [False] * (2 * tiles)
-    assert np.array_equal(M0_1, M0_2)
-    assert np.array_equal(F0_1, F0_2) and np.array_equal(F1_1, F1_2)
+    M0 = patch_moments(T, patch)
+    F0, F1 = _flux_moments(T, patch, n_low, origin)
+    assert len(calls) == 2 * tile_count(patch)  # one call per tile in each of two passes
 
     nodes, weights = patch.nodes_weights()
     pts = patch.points(nodes)
@@ -670,65 +621,9 @@ def test_patch_moments_bitwise_across_threads_and_whole_array(monkeypatch, two_c
         [recursive_pairwise_sum(wj[:, a] * (pts[:, c] - origin[c])) for c in range(4)]
         for a in range(4)
     ]
-    assert np.array_equal(M0_1, np.array(M0_ref))
-    assert np.array_equal(F0_1, np.array(F0_ref))
-    assert np.array_equal(F1_1, np.array(F1_ref))
-
-
-def test_transformed_moments_bitwise_across_threads(monkeypatch, two_cpus):
-    dust = make_static_dust(1.0, 0.7)
-    seen = []
-
-    def T(points):
-        seen.append(threading.current_thread())
-        return dust(points)
-
-    g = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translation([0.2, -0.1, 0.3, 0.5])))
-    T_g = active_transform(g, SymTensorField(T))
-    image = transform_patch(g, multi_tile_patch())
-    tiles = tile_count(image)
-    origin = np.array([0.1, -0.3, 0.2, 0.4])
-    n_low = SIG.matrix @ image.normal
-    monkeypatch.setenv("LAUE_LAB_THREADS", "1")
-    M0_1 = patch_moments(T_g, image)
-    F0_1, F1_1 = _flux_moments(T_g, image, n_low, origin)
-    monkeypatch.setenv("LAUE_LAB_THREADS", "2")
-    M0_2 = patch_moments(T_g, image)
-    F0_2, F1_2 = _flux_moments(T_g, image, n_low, origin)
-    main = threading.main_thread()
-    # per tile, the components read four source fluxes (one per e_b) and the
-    # flux moments one, pooled under 2
-    assert [t is main for t in seen] == [True] * (5 * tiles) + [False] * (5 * tiles)
-    assert np.array_equal(M0_1, M0_2)
-    assert np.array_equal(F0_1, F0_2) and np.array_equal(F1_1, F1_2)
-
-
-def test_completed_shell_moments_bitwise_across_threads(monkeypatch, two_cpus):
-    # the shell's samples are component-major views, not C-ordered arrays; the
-    # tiled reduction of its moments and of its transformed image's flux must
-    # still not depend on the thread count
-    shell, spec = build("completed_shell")
-    seen = []
-
-    def T(points):
-        seen.append(threading.current_thread())
-        return shell(points)
-
-    T = SymTensorField(T)
-    patch = spec.slice_patch(SIG, scale=0.75)  # 119,232 = 1,863 * 64 nodes
-    tiles = tile_count(patch)
-    g = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translation([0.2, -0.1, 0.3, 0.5])))
-    T_g, image = active_transform(g, T), transform_patch(g, patch)
-    origin = np.array([0.1, -0.3, 0.2, 0.4])
-    monkeypatch.setenv("LAUE_LAB_THREADS", "1")
-    M0_1, mv_1 = patch_moments(T, patch), momentum_map(T_g, image, origin)
-    monkeypatch.setenv("LAUE_LAB_THREADS", "2")
-    M0_2, mv_2 = patch_moments(T, patch), momentum_map(T_g, image, origin)
-    main = threading.main_thread()
-    # one call per tile for the moments and one for the image's flux, pooled under 2
-    assert [t is main for t in seen] == [True] * (2 * tiles) + [False] * (2 * tiles)
-    assert np.array_equal(M0_1, M0_2)
-    assert np.array_equal(mv_1.fluxes, mv_2.fluxes)
+    assert np.array_equal(M0, np.array(M0_ref))
+    assert np.array_equal(F0, np.array(F0_ref))
+    assert np.array_equal(F1, np.array(F1_ref))
 
 
 def test_tile_is_a_whole_subtree_of_the_pairwise_tree():
@@ -741,15 +636,33 @@ def test_reduce_patch_bitwise_at_any_tile_size(monkeypatch, tile):
     # reference at the module's own tile size; each tile size must give the
     # same bits, since a power-of-two tile is a subtree of the same tree
     dust = make_static_dust(1.0, 0.7)
+    reads = []
+
+    def source(points):
+        reads.append(len(points))
+        return dust(points)
+
     box = multi_tile_patch()
     assert len(box.nodes_weights()[1]) % BLOCK
     shell, spec = build("completed_shell")
     g = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translation([0.2, -0.1, 0.3, 0.5])))
-    shell_g, image = active_transform(g, shell), transform_patch(g, spec.slice_patch(SIG, scale=0.4))
+    shell_patch = spec.slice_patch(SIG, scale=0.4)
+    shell_g, image = active_transform(g, shell), transform_patch(g, shell_patch)
+    dust_g, box_g = active_transform(g, SymTensorField(source)), transform_patch(g, box)
     origin = np.array([0.1, -0.3, 0.2, 0.4])
-    M0_ref, mv_ref = patch_moments(dust, box), momentum_map(shell_g, image, origin)
+
+    def moments():
+        # the shell's samples are component-major views, not C-ordered
+        # arrays; the transformed dust reads its components as four fluxes
+        return patch_moments(dust, box), patch_moments(shell, shell_patch), patch_moments(dust_g, box_g)
+
+    refs, mv_ref = moments(), momentum_map(shell_g, image, origin)
     monkeypatch.setattr(quadrature, "TILE", tile)
-    assert np.array_equal(patch_moments(dust, box), M0_ref)
+    reads.clear()
+    for M0, M0_ref in zip(moments(), refs):
+        assert np.array_equal(M0, M0_ref)
+    m = len(box_g.nodes_weights()[1])
+    assert len(reads) == 4 * -(-m // tile) and sum(reads) == 4 * m  # four source fluxes per tile
     mv = momentum_map(shell_g, image, origin)
     assert np.array_equal(mv.fluxes, mv_ref.fluxes)
     assert np.array_equal(mv.components(), mv_ref.components())
