@@ -34,9 +34,7 @@ from .fields import (
 )
 from .poincare import PoincareElement, coad, is_isometry, standard_boost
 from .quadrature import (
-    LAUE_NAMES,
     HyperplanePatch,
-    IntegralRecord,
     _measure_factor,
     _reduce_patch,
     _simpson,
@@ -93,12 +91,10 @@ class BoostEntry:
 class LaueReport:
     """Classic boost-transformation report for one stationary system."""
 
-    scenario: str
     P: np.ndarray
     stress: dict
     entries: list
     rel_tol: float
-    grid: str
 
     @property
     def P0(self) -> float:
@@ -126,41 +122,19 @@ class LaueReport:
         """No side of the equivalence holds without the other."""
         return (self.four_vector_max_rel < self.rel_tol) == self.stress_vanish
 
-    def records(self) -> list:
-        grid, tol = self.grid, self.rel_tol
-        rows = [IntegralRecord(f"P{a}", float(self.P[a]), grid) for a in range(4)]
-        for name in LAUE_NAMES:
-            rows.append(IntegralRecord.gated(
-                f"stress_{name}", float(self.stress[name]), tol * abs(self.P0), grid))
-        for e in self.entries:
-            tag = f"beta={e.beta:g}"
-            for label, P in (
-                ("direct", e.P_direct),
-                ("predicted", e.P_predicted),
-                ("alt_prediction", e.P_alt_prediction),
-                ("four_vector", e.P_four_vector),
-            ):
-                rows += [IntegralRecord(f"P{a}_{label}[{tag}]", float(P[a]), grid) for a in range(4)]
-            rows.append(IntegralRecord.gated(
-                f"four_vector_residual[{tag}]", e.resid_four_vector, tol, grid))
-        rows.append(IntegralRecord.gated(
-            "verdict_four_vector", float(self.four_vector), tol, grid, passed=self.four_vector))
-        return rows
-
 
 def _resolve_domain(domain, sig: Signature, scale: float, outer=None):
     """Accept a scenario spec (preferred: scenario-aware adapted rules) or a
-    plain patch; return (base patch, adapted-patch factory, grid label,
-    stationary flag)."""
+    plain patch; return (base patch, adapted-patch factory, stationary flag)."""
     if isinstance(domain, ScenarioSpec):
         base = domain.slice_patch(sig, scale=scale, outer=outer)
 
         def adapted(g):
             return domain.adapted_slice_patch(g, sig, scale=scale, outer=outer)
 
-        return base, adapted, f"{domain.name}:{domain.kind}:scale={scale:g}", domain.stationary
+        return base, adapted, domain.stationary
     if isinstance(domain, HyperplanePatch):
-        return domain, (lambda g: domain), f"patch:grid={domain.grid}", True
+        return domain, (lambda g: domain), True
     raise TypeError(f"expected ScenarioSpec or HyperplanePatch, got {type(domain)!r}")
 
 
@@ -193,7 +167,7 @@ def classical_laue_report(
     ``domain`` is a scenario spec or a plain time-slice patch.
     """
     sig = sig or Signature.mostly_minus(4)
-    patch, adapted, grid, flagged_stationary = _resolve_domain(domain, sig, scale)
+    patch, adapted, flagged_stationary = _resolve_domain(domain, sig, scale)
     rng = np.random.default_rng(0)
     probe = rng.uniform(-1.0, 1.0, (32, 4))
     res = stationarity_residual(T, DEFAULT_H, probe)
@@ -236,8 +210,7 @@ def classical_laue_report(
                 float(np.max(np.abs(P_direct - P_fv))) / scale0,
             )
         )
-    name = domain.name if isinstance(domain, ScenarioSpec) else "custom"
-    return LaueReport(name, P, stress, entries, rel_tol, grid)
+    return LaueReport(P, stress, entries, rel_tol)
 
 
 def fake_covariance_check(
@@ -254,7 +227,7 @@ def fake_covariance_check(
     image patch's nodes being the node images, it is exact to roundoff.
     """
     sig = sig or Signature.mostly_minus(4)
-    patch, _, _, _ = _resolve_domain(domain, sig, scale)
+    patch, _, _ = _resolve_domain(domain, sig, scale)
     P = four_momentum(T, patch)
     image = transform_patch(g, patch)
     P_image = four_momentum(active_transform(g, T), image)
@@ -429,7 +402,7 @@ def equivariance_report(
     """
     sig = sig or Signature.mostly_minus(4)
     origin = np.asarray(origin, float)
-    patch, adapted, _, _ = _resolve_domain(domain, sig, scale, outer)
+    patch, adapted, _ = _resolve_domain(domain, sig, scale, outer)
     if restricted and isinstance(domain, ScenarioSpec) and not domain.conserved:
         raise ValueError("restricted equivariance requires a conserved scenario")
     base = momentum_map(T, patch, origin)
@@ -471,12 +444,13 @@ def conservation_check(
     """Charges of J through two parallel slices with matched orientation.
 
     The check is void (``support_ok`` False) when the current reaches the
-    lateral boundary, where the connecting-tube flux would contribute.
+    lateral boundary, where the connecting-tube flux would contribute.  Both
+    patches need the default box rule, whose edge cells that probe reads.
     """
+    if patch1.rule_nodes is not None or patch2.rule_nodes is not None:
+        raise ValueError("the support probe needs the default box rule")
     support_ok = True
     for patch in (patch1, patch2):
-        if patch.rule_nodes is not None:
-            continue
         nodes, _ = patch.nodes_weights()
         edge = np.max(np.abs(nodes) / patch.half_widths, axis=1) > 1.0 - 2.0 / min(
             patch.grid

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .poincare import (
     translation,
     wedge_vectors,
 )
-from .quadrature import HyperplanePatch, IntegralRecord
+from .quadrature import HyperplanePatch
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -39,6 +40,26 @@ EXIT_NUMERIC = 3
 
 FORMATS = ("csv", "json", "md")
 CSV_HEADER = "quantity,component,value,grid_N,h,refinement_ratio,tolerance,verdict"
+
+
+@dataclass(frozen=True)
+class IntegralRecord:
+    """Traceable emitted number: (name, value, grid, h, refinement_ratio)."""
+
+    name: str
+    value: float
+    grid: str = ""
+    h: float = float("nan")
+    refinement_ratio: float = float("nan")
+    tolerance: float = float("nan")
+    verdict: str = ""
+
+    @classmethod
+    def gated(cls, name, value, tol, grid="", passed=None, **meta):
+        """Record judged against ``tol``: it passes when |value| < tol, or
+        when ``passed`` says so for a check that is not a plain bound."""
+        ok = abs(value) < tol if passed is None else passed
+        return cls(name, value, grid, tolerance=tol, verdict="pass" if ok else "fail", **meta)
 
 
 def _fmt(x) -> str:
@@ -565,6 +586,28 @@ def run_conservation_suite(h: float = 1e-3):
     return records, _passed(records)
 
 
+def _classical_records(rep, grid: str) -> list:
+    """The ``laue classical`` rows of one report, each labelled ``grid``."""
+    tol = rep.rel_tol
+    rows = [IntegralRecord(f"P{a}", float(rep.P[a]), grid) for a in range(4)]
+    for name, value in rep.stress.items():
+        rows.append(IntegralRecord.gated(f"stress_{name}", float(value), tol * abs(rep.P0), grid))
+    for e in rep.entries:
+        tag = f"beta={e.beta:g}"
+        for label, P in (
+            ("direct", e.P_direct),
+            ("predicted", e.P_predicted),
+            ("alt_prediction", e.P_alt_prediction),
+            ("four_vector", e.P_four_vector),
+        ):
+            rows += [IntegralRecord(f"P{a}_{label}[{tag}]", float(P[a]), grid) for a in range(4)]
+        rows.append(IntegralRecord.gated(
+            f"four_vector_residual[{tag}]", e.resid_four_vector, tol, grid))
+    rows.append(IntegralRecord.gated(
+        "verdict_four_vector", float(rep.four_vector), tol, grid, passed=rep.four_vector))
+    return rows
+
+
 def run_laue_command(args, cfg) -> tuple:
     from .checkers import classical_laue_report, equivariance_report, fake_covariance_check
     from .scenarios import build
@@ -572,13 +615,14 @@ def run_laue_command(args, cfg) -> tuple:
     T, spec = build(args.scenario, **cfg.get(f"scenario.{args.scenario}", {}))
     scale = args.grid_n / 48.0
     if args.check == "classical":
+        label = f"{spec.name}:{spec.kind}:scale="
         rep = classical_laue_report(T, spec, args.beta, SIG, rel_tol=args.tol, scale=scale)
-        records = rep.records()
+        records = _classical_records(rep, f"{label}{scale:g}")
         if args.strict:
             fine = classical_laue_report(T, spec, args.beta, SIG, rel_tol=args.tol, scale=2 * scale)
             records.append(
                 IntegralRecord.gated("strict_recheck_four_vector", fine.four_vector_max_rel,
-                                     args.tol, fine.grid,
+                                     args.tol, f"{label}{2 * scale:g}",
                                      passed=fine.four_vector == rep.four_vector)
             )
         return records, _passed(records)
@@ -604,17 +648,25 @@ def run_laue_command(args, cfg) -> tuple:
     return records, _passed(records)
 
 
-def run_scenario_command(args, cfg) -> tuple:
-    from .scenarios import run_scenario
+def run_scenario_suite(name: str, params=None, scale: float = 1.0):
+    """A scenario on its preferred slice rule, sampled once: P, and for a
+    stationary system the nine stress integrals, the weak-field passive mass
+    and the mass-integrand identity residual."""
+    from .quadrature import patch_moments, stress_integrals
+    from .scenarios import _weak_ep, build
 
-    result = run_scenario(args.name, cfg.get(f"scenario.{args.name}"), scale=args.grid_n / 48.0)
-    records = [
-        IntegralRecord(f"P{a}", float(result.P[a]), result.grid) for a in range(4)
-    ]
-    for name, value in result.stress.items():
-        records.append(IntegralRecord(f"stress_{name}", float(value), result.grid))
-    for name, value in result.extras.items():
-        records.append(IntegralRecord(name, float(value), result.grid))
+    T, spec = build(name, **(params or {}))
+    patch = spec.slice_patch(SIG, scale=scale)
+    M0 = patch_moments(T, patch)
+    P = M0 @ (patch.sig.matrix @ patch.normal)
+    grid = f"{spec.kind}:scale={scale:g}"
+    records = [IntegralRecord(f"P{a}", float(P[a]), grid) for a in range(4)]
+    if spec.stationary:
+        stress = stress_integrals(M0, patch)
+        passive_mass, residual = _weak_ep(M0, patch)
+        records += [IntegralRecord(f"stress_{k}", float(v), grid) for k, v in stress.items()]
+        records += [IntegralRecord("passive_mass", float(passive_mass), grid),
+                    IntegralRecord("tolman_integrand_residual", residual, grid)]
     return records, _passed(records)
 
 
@@ -635,7 +687,11 @@ CHECKS = {
     ("laue", "equivariance"): (("seed", "scenario", "grid_n"), run_laue_command),
     # scenario reads no seed; it accepts --seed because perfbench/workloads.py
     # passes it to every CLI workload
-    ("scenario", None): (("seed", "grid_n"), run_scenario_command),
+    ("scenario", None): (
+        ("seed", "grid_n"),
+        lambda args, cfg: run_scenario_suite(
+            args.name, cfg.get(f"scenario.{args.name}"), args.grid_n / 48.0),
+    ),
 }
 
 
@@ -653,7 +709,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FloatingPointError, np.linalg.LinAlgError, RuntimeError, MemoryError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numeric fault: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
     text = emit(records, args.format)

@@ -27,7 +27,6 @@ from .poincare import PoincareElement, PoinLieElement, _matvec, bivector_to_matr
 __all__ = [
     "HyperplanePatch",
     "MomentumValue",
-    "IntegralRecord",
     "integrate_form",
     "integrate_scalar_density",
     "flux_charge",
@@ -229,26 +228,6 @@ class MomentumValue:
         return self.lie.components()
 
 
-@dataclass(frozen=True)
-class IntegralRecord:
-    """Traceable emitted number: (name, value, grid, h, refinement_ratio)."""
-
-    name: str
-    value: float
-    grid: str = ""
-    h: float = float("nan")
-    refinement_ratio: float = float("nan")
-    tolerance: float = float("nan")
-    verdict: str = ""
-
-    @classmethod
-    def gated(cls, name, value, tol, grid="", passed=None, **meta):
-        """Record judged against ``tol``: it passes when |value| < tol, or
-        when ``passed`` says so for a check that is not a plain bound."""
-        ok = abs(value) < tol if passed is None else passed
-        return cls(name, value, grid, tolerance=tol, verdict="pass" if ok else "fail", **meta)
-
-
 def _measure_factor(patch: HyperplanePatch) -> float:
     """Pullback of the induced measure onto the tangent frame (flat chart)."""
     sign = 1.0 if patch.normal_square() > 0 else -1.0
@@ -446,10 +425,7 @@ def momentum_map(T: SymTensorField, patch: HyperplanePatch, origin: np.ndarray) 
     F0, F1 = _flux_moments(T, patch, sig.matrix @ patch.normal, origin)
     currents, gram = _generator_pairing(sig)
     fluxes = np.array([KP @ F0 + np.sum(KE * F1) for KP, KE in currents])
-    try:
-        coeffs = np.linalg.solve(gram, fluxes)
-    except np.linalg.LinAlgError as exc:  # cannot occur for this pairing
-        raise RuntimeError("degenerate generator pairing") from exc
+    coeffs = np.linalg.solve(gram, fluxes)
     lie = PoinLieElement(coeffs[:n], coeffs[n:])
     return MomentumValue(lie, fluxes)
 

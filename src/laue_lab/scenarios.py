@@ -35,7 +35,6 @@ from .quadrature import (
 
 __all__ = [
     "ScenarioSpec",
-    "ScenarioResult",
     "SCENARIO_NAMES",
     "build",
     "scenario_params",
@@ -104,46 +103,6 @@ class ScenarioSpec:
 def _box(half_widths):
     """Midpoint rule on the box of these half widths, 48 * scale cells a side."""
     return lambda scale, outer: box_rule(half_widths, (max(2, round(48 * scale)),) * 3)
-
-
-@dataclass
-class ScenarioResult:
-    """Container the CLI serialises: momentum, stress integrals, extras."""
-
-    name: str
-    P: np.ndarray
-    stress: dict
-    extras: dict
-    grid: str
-
-
-def run_scenario(
-    name: str,
-    params: Optional[dict] = None,
-    sig: Optional[Signature] = None,
-    scale: float = 1.0,
-) -> ScenarioResult:
-    """Build a scenario, integrate it on its preferred slice rule, and
-    collect the scenario-specific scalars (weak-field passive mass and the
-    mass-integrand identity residual for stationary systems); the slice is
-    sampled once."""
-    from .quadrature import patch_moments, stress_integrals
-
-    sig = sig or Signature.mostly_minus(4)
-    T, spec = build(name, **(params or {}))
-    patch = spec.slice_patch(sig, scale=scale)
-    M0 = patch_moments(T, patch)
-    P = M0 @ (patch.sig.matrix @ patch.normal)
-    stress = {}
-    extras = {}
-    if spec.stationary:
-        stress = stress_integrals(M0, patch)
-        passive_mass, residual = _weak_ep(M0, patch)
-        extras["passive_mass"] = passive_mass
-        extras["tolman_integrand_residual"] = residual
-    return ScenarioResult(
-        spec.name, P, stress, extras, f"{spec.kind}:scale={scale:g}"
-    )
 
 
 # --- the scenarios: each returns (T^{ab} as a point function, spec) ---

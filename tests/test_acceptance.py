@@ -28,12 +28,13 @@ from laue_lab.cli import (
     run_conservation_suite,
     run_geometric_suite,
     run_poincare_suite,
+    run_scenario_suite,
     seeded_elements,
 )
 from laue_lab.fields import SymTensorField, VectorField, identity_residuals
 from laue_lab.poincare import compose, rotation, standard_boost, translation
 from laue_lab.quadrature import HyperplanePatch
-from laue_lab.scenarios import build, run_scenario, virial_check
+from laue_lab.scenarios import build, virial_check
 
 from field_builders import constant_field
 
@@ -285,10 +286,12 @@ def test_criterion_10_physics_extras():
         virial_check(1.0, -1.0, 1.0),
         virial_check(0.5, -0.5, 3.0, 2.0, 5.0),
     )
-    full = run_scenario("completed_shell", {"r_out": 1e4})
-    bare = run_scenario("coulomb_shell", {"r_out": 1e4})
-    res_full = abs(full.extras["passive_mass"] - full.P[0]) / full.P[0]
-    res_bare = abs(bare.extras["passive_mass"] - 2.0 * bare.P[0]) / bare.P[0]
+    full, bare = (
+        {r.name: r.value for r in run_scenario_suite(name, {"r_out": 1e4})[0]}
+        for name in ("completed_shell", "coulomb_shell")
+    )
+    res_full = abs(full["passive_mass"] - full["P0"]) / full["P0"]
+    res_bare = abs(bare["passive_mass"] - 2.0 * bare["P0"]) / bare["P0"]
     T_box, spec_box = build("uniform_field_box")
     beta = 0.5
     transverse = classical_laue_report(T_box, spec_box, [beta]).entries[0].P_direct[2:]

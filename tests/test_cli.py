@@ -15,6 +15,7 @@ from laue_lab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERDICT,
+    IntegralRecord,
     emit,
     main,
     records_to_csv,
@@ -23,7 +24,6 @@ from laue_lab.cli import (
     run_geometric_suite,
 )
 from laue_lab.fields import MetricField, SymTensorField
-from laue_lab.quadrature import IntegralRecord
 
 
 def run(capsys, *argv):
@@ -306,6 +306,17 @@ def test_non_positive_fd_h_is_usage_error(capsys, suite, h):
     assert "--fd-h must be" in err
 
 
+@pytest.mark.parametrize("suite", ["identities", "geometric", "conservation"])
+@pytest.mark.parametrize("h", ["1e-300", "1e-17"])
+def test_fd_step_that_moves_no_coordinate_is_numeric_fault(capsys, suite, h):
+    # every central difference across such a step is 0, so the residuals
+    # would read as exact passes (and --strict's ratio as a bare NaN in JSON)
+    code, out, err = run(capsys, "verify", suite, f"--fd-h={h}", "--format", "json")
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith(f"numeric fault: fd step {float(h)!r} does not move coordinate")
+
+
 @pytest.mark.parametrize(
     "argv", [["scenario", "gaussian_dust"], ["laue", "classical", "--scenario", "gaussian_dust"]]
 )
@@ -421,6 +432,21 @@ def test_scenario_flag_overrides_config_key(tmp_path, capsys):
     assert code == EXIT_OK
     assert "gaussian_dust" in out and "uniform_field_box" not in out
     assert "note: flag --scenario=gaussian_dust overrides config value uniform_field_box" in err
+
+
+def test_classical_rows_schema(capsys):
+    code, out, _ = run(
+        capsys, "laue", "classical", "--scenario", "gaussian_dust", "--grid-n", "24", "--strict",
+    )
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    # 4 momenta + 9 stresses + per-beta 4x4 rows and residual + verdict + strict recheck
+    assert len(rows) == 4 + 9 + 2 * (16 + 1) + 1 + 1
+    assert [r[0] for r in rows[-2:]] == ["verdict_four_vector", "strict_recheck_four_vector"]
+    assert [r[-1] for r in rows[-2:]] == ["pass", "pass"]
+    # the recheck runs at twice the grid, and its row says so
+    assert {r[3] for r in rows[:-1]} == {"gaussian_dust:cartesian:scale=0.5"}
+    assert rows[-1][3] == "gaussian_dust:cartesian:scale=1"
 
 
 def test_failed_strict_recheck_exits_verdict(capsys):
@@ -620,6 +646,20 @@ def test_unwritable_out_is_numeric_fault(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "algebra", "--out", str(tmp_path / "no" / "x.csv"))
     assert code == EXIT_NUMERIC
     assert "cannot write" in err
+
+
+def test_only_cli_names_integral_record():
+    # row names, grid labels and tolerance gates are decided in one module:
+    # the checks return numbers, and cli.py turns them into records
+    offenders = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "name", "asname")}
+            if "IntegralRecord" in names or getattr(node, "value", None) == "IntegralRecord":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_emit_empty_report_header_only():

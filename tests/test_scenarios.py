@@ -5,6 +5,7 @@ import pytest
 
 from laue_lab.exterior import Signature
 from laue_lab.checkers import classical_laue_report
+from laue_lab.cli import run_scenario_suite
 from laue_lab.fields import MetricField, divergence, stationarity_residual
 from laue_lab.poincare import standard_boost
 from laue_lab.quadrature import four_momentum, laue_integrals
@@ -12,7 +13,6 @@ from laue_lab.scenarios import (
     SCENARIO_NAMES,
     build,
     coulomb_pair_energy,
-    run_scenario,
     virial_check,
 )
 
@@ -193,22 +193,28 @@ def test_scenario_quadrature_deterministic():
 # --- weak-field coupling ---
 
 
+def scenario_rows(name, params=None, scale=1.0):
+    """The scenario command's rows, name -> value."""
+    records, _ = run_scenario_suite(name, params, scale)
+    return {r.name: r.value for r in records}
+
+
 def test_tolman_passive_mass_dust():
-    out = run_scenario("gaussian_dust")
-    assert out.extras["passive_mass"] == pytest.approx(out.P[0], rel=1e-12)
-    assert out.extras["tolman_integrand_residual"] < 1e-12
+    out = scenario_rows("gaussian_dust")
+    assert out["passive_mass"] == pytest.approx(out["P0"], rel=1e-12)
+    assert out["tolman_integrand_residual"] < 1e-12
 
 
 def test_tolman_passive_mass_bare_shell_doubles():
-    out = run_scenario("coulomb_shell")
-    assert out.extras["passive_mass"] == pytest.approx(2.0 * out.P[0], rel=1e-6)
-    assert out.extras["tolman_integrand_residual"] < 1e-12
+    out = scenario_rows("coulomb_shell")
+    assert out["passive_mass"] == pytest.approx(2.0 * out["P0"], rel=1e-6)
+    assert out["tolman_integrand_residual"] < 1e-12
 
 
 def test_tolman_passive_mass_completed_shell():
     # r_out large enough that the tail truncation stays below the tolerance
-    out = run_scenario("completed_shell", {"r_out": 1e4})
-    assert out.extras["passive_mass"] == pytest.approx(out.P[0], rel=1e-3)
+    out = scenario_rows("completed_shell", {"r_out": 1e4})
+    assert out["passive_mass"] == pytest.approx(out["P0"], rel=1e-3)
 
 
 # --- pair energy and virial ---
@@ -316,15 +322,19 @@ def test_shell_finite_at_origin():
     assert np.all(np.isfinite(val)) and np.max(np.abs(val)) == 0.0
 
 
-def test_run_scenario_result_container():
-    from laue_lab.scenarios import run_scenario
-
-    res = run_scenario("gaussian_dust", {"sigma": 0.5}, SIG, scale=0.5)
-    assert res.name == "gaussian_dust"
-    assert res.P[0] == pytest.approx(math.pi**1.5 * 0.125, rel=1e-5)
-    assert res.extras["passive_mass"] == pytest.approx(res.P[0], rel=1e-9)
-    assert res.extras["tolman_integrand_residual"] < 1e-12
-    assert set(res.stress) == {"T01", "T02", "T03", "T11", "T12", "T13", "T22", "T23", "T33"}
+def test_scenario_suite_rows():
+    records, ok = run_scenario_suite("gaussian_dust", {"sigma": 0.5}, scale=0.5)
+    res = {r.name: r.value for r in records}
+    assert ok
+    assert {r.grid for r in records} == {"cartesian:scale=0.5"}
+    assert res["P0"] == pytest.approx(math.pi**1.5 * 0.125, rel=1e-5)
+    assert res["passive_mass"] == pytest.approx(res["P0"], rel=1e-9)
+    assert res["tolman_integrand_residual"] < 1e-12
+    assert {name for name in res if name.startswith("stress_")} == {
+        f"stress_{c}" for c in ("T01", "T02", "T03", "T11", "T12", "T13", "T22", "T23", "T33")
+    }
+    # a non-stationary system has no stress integrals or passive mass
+    assert list(scenario_rows("moving_dust", scale=0.25)) == ["P0", "P1", "P2", "P3"]
 
 
 # --- component-major shell samples ---
