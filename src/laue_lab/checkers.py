@@ -123,19 +123,15 @@ class LaueReport:
         return (self.four_vector_max_rel < self.rel_tol) == self.stress_vanish
 
 
-def _resolve_domain(domain, sig: Signature, scale: float, outer=None):
-    """Accept a scenario spec (preferred: scenario-aware adapted rules) or a
-    plain patch; return (base patch, adapted-patch factory, stationary flag)."""
-    if isinstance(domain, ScenarioSpec):
-        base = domain.slice_patch(sig, scale=scale, outer=outer)
+def _resolve_domain(spec: ScenarioSpec, sig: Signature, scale: float, outer=None):
+    """The scenario's slice patch on its preferred rule and the factory of
+    its rule adapted to a group element."""
+    base = spec.slice_patch(sig, scale=scale, outer=outer)
 
-        def adapted(g):
-            return domain.adapted_slice_patch(g, sig, scale=scale, outer=outer)
+    def adapted(g):
+        return spec.adapted_slice_patch(g, sig, scale=scale, outer=outer)
 
-        return base, adapted, domain.stationary
-    if isinstance(domain, HyperplanePatch):
-        return domain, (lambda g: domain), True
-    raise TypeError(f"expected ScenarioSpec or HyperplanePatch, got {type(domain)!r}")
+    return base, adapted
 
 
 def _reference(value) -> float:
@@ -150,7 +146,7 @@ def _reference(value) -> float:
 
 def classical_laue_report(
     T: SymTensorField,
-    domain,
+    spec: ScenarioSpec,
     betas,
     sig: Optional[Signature] = None,
     rel_tol: float = 1e-3,
@@ -164,17 +160,16 @@ def classical_laue_report(
     Pn + b S1n); the transcription with the b^2 factor dropped from the
     energy row is also reported for comparison but never asserted.
     Rejects non-stationary inputs, which the boosted-slice argument needs.
-    ``domain`` is a scenario spec or a plain time-slice patch.
     """
     sig = sig or Signature.mostly_minus(4)
-    patch, adapted, flagged_stationary = _resolve_domain(domain, sig, scale)
+    patch, adapted = _resolve_domain(spec, sig, scale)
     rng = np.random.default_rng(0)
     probe = rng.uniform(-1.0, 1.0, (32, 4))
     res = stationarity_residual(T, DEFAULT_H, probe)
-    if not flagged_stationary or res > _STATIONARITY_TOL:
+    if not spec.stationary or res > _STATIONARITY_TOL:
         raise ValueError(
             f"boost report requires a stationary system; time-derivative "
-            f"residual {res:.3e} (flagged stationary={flagged_stationary})"
+            f"residual {res:.3e} (flagged stationary={spec.stationary})"
         )
     M0 = patch_moments(T, patch)
     P = M0 @ (patch.sig.matrix @ patch.normal)
@@ -215,7 +210,7 @@ def classical_laue_report(
 
 def fake_covariance_check(
     T: SymTensorField,
-    domain,
+    spec: ScenarioSpec,
     g: PoincareElement,
     sig: Optional[Signature] = None,
     scale: float = 1.0,
@@ -227,7 +222,7 @@ def fake_covariance_check(
     image patch's nodes being the node images, it is exact to roundoff.
     """
     sig = sig or Signature.mostly_minus(4)
-    patch, _, _ = _resolve_domain(domain, sig, scale)
+    patch, _ = _resolve_domain(spec, sig, scale)
     P = four_momentum(T, patch)
     image = transform_patch(g, patch)
     P_image = four_momentum(active_transform(g, T), image)
@@ -383,7 +378,7 @@ class EquivarianceEntry:
 
 def equivariance_report(
     T: SymTensorField,
-    domain,
+    spec: ScenarioSpec,
     origin,
     g_list,
     sig: Optional[Signature] = None,
@@ -402,8 +397,8 @@ def equivariance_report(
     """
     sig = sig or Signature.mostly_minus(4)
     origin = np.asarray(origin, float)
-    patch, adapted, _ = _resolve_domain(domain, sig, scale, outer)
-    if restricted and isinstance(domain, ScenarioSpec) and not domain.conserved:
+    patch, adapted = _resolve_domain(spec, sig, scale, outer)
+    if restricted and not spec.conserved:
         raise ValueError("restricted equivariance requires a conserved scenario")
     base = momentum_map(T, patch, origin)
     ref = _reference(np.linalg.norm(base.components()))

@@ -18,7 +18,6 @@ import numpy as np
 from .exterior import (
     Signature,
     insert_comps,
-    minor_det,
     multi_index_rank,
     multi_indices,
     wedge_comps,
@@ -260,7 +259,7 @@ def divergence(T: SymTensorField, g: MetricField, h: float = DEFAULT_H) -> Vecto
 
 
 def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
-    """Lie derivative along V of a form or a (0,2) field.
+    """Lie derivative along V of a form of degree p >= 1 or a (0,2) field.
 
     Forms use the symmetrised combination of d and insertion; a metric or
     (0,2) field uses the component formula with central differences and
@@ -268,12 +267,6 @@ def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
     """
     if isinstance(field, FormField):
         n, p = field.n, field.p
-        if p == 0:
-            def func0(points):
-                points = np.asarray(points, float)
-                grads = _fd_stack(field, points, h, -1)  # (..., C, d)
-                return np.einsum("...Cd,...d->...C", grads, V(points))
-            return FormField(n, 0, func0)
         d_omega = exterior_derivative(field, h)
 
         def func(points):
@@ -344,53 +337,27 @@ def killing_residual(
     return identity_part + killing_part
 
 
-def active_transform(g_elt: PoincareElement, field):
-    """Push a field forward along the affine automorphism x -> A x + a.
+def active_transform(g_elt: PoincareElement, field: SymTensorField) -> SymTensorField:
+    """Push a (2,0) field forward along the affine automorphism x -> A x + a.
 
-    Contravariant ranks push forward, covariant ranks pull back along the
-    inverse, so composition order matches the group law.  Every rank is one
-    constant matrix applied per node by :func:`poincare._matvec`; a metric
-    acts on its flattened n*n components through a Kronecker square.
-    A (2,0) field has one law, its flux taken contract-first,
+    Its one law is the flux taken contract-first,
     (g_* T)(., n) = A T(g^-1 x) (A^T n): the covector is pulled back once,
-    the source gives its own flux, and one n x n map acts per node.  Its
-    components are the fluxes through the coordinate covectors e_b.
+    the source gives its own flux, and one n x n map acts per node through
+    :func:`poincare._matvec`.  Its components are the fluxes through the
+    coordinate covectors e_b.  Any other field type raises ``TypeError``.
     """
+    if not isinstance(field, SymTensorField):
+        raise TypeError(f"no active transform for {type(field)!r}")
     ginv = invert(g_elt)
-    A, Ainv = g_elt.A, ginv.A
+    A = g_elt.A
 
-    def mapped(M, rank=1):
-        def func(points):
-            vals = field(ginv.apply(points))
-            comps = vals.reshape(vals.shape[: vals.ndim - rank] + (-1,))
-            return _matvec(comps, M).reshape(vals.shape)
+    def flux(points, n_low):
+        return _matvec(field.flux(ginv.apply(points), A.T @ n_low), A)
 
-        return func
+    def comps(points):  # column b: T^{ab} = (g_* T)(., e_b)^a
+        return np.stack([flux(points, e) for e in np.eye(len(A))], axis=-1)
 
-    if isinstance(field, ScalarField):
-        return ScalarField(lambda pts: field(ginv.apply(pts)))
-    if isinstance(field, VectorField):
-        return VectorField(mapped(A))
-    if isinstance(field, SymTensorField):
-        def flux(points, n_low):
-            return _matvec(field.flux(ginv.apply(points), A.T @ n_low), A)
-
-        def comps(points):  # column b: T^{ab} = (g_* T)(., e_b)^a
-            return np.stack([flux(points, e) for e in np.eye(len(A))], axis=-1)
-
-        return SymTensorField(comps, flux_func=flux)
-    if isinstance(field, FormField):
-        n, p = field.n, field.p
-        if p == 0:
-            return FormField(n, 0, lambda pts: field(ginv.apply(pts)))
-        idxs = multi_indices(n, p)
-        D = np.array([[minor_det(Ainv, J, I) for I in idxs] for J in idxs])
-        return FormField(n, p, mapped(D.T))
-    if isinstance(field, MetricField):
-        eta = field.sig.matrix
-        flat = field.flat and np.allclose(Ainv.T @ eta @ Ainv, eta)
-        return MetricField(field.sig, mapped(np.kron(Ainv.T, Ainv.T), rank=2), flat=flat)
-    raise TypeError(f"no active transform for {type(field)!r}")
+    return SymTensorField(comps, flux_func=flux)
 
 
 def boost_emt_analytic(T: SymTensorField, beta: float) -> SymTensorField:

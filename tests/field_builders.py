@@ -5,6 +5,8 @@ import numpy as np
 
 from laue_lab.exterior import Signature
 from laue_lab.fields import MetricField, ScalarField, SymTensorField, VectorField
+from laue_lab.quadrature import box_rule
+from laue_lab.scenarios import ScenarioSpec
 
 
 def make_tilted_metric():
@@ -55,3 +57,11 @@ def constant_field(v):
         return np.broadcast_to(v, points.shape[:-1] + v.shape)
 
     return VectorField(func)
+
+
+def box_spec(half_width, n):
+    """A stationary, conserved scenario spec whose rule at every scale is the
+    midpoint box of ``n`` cells a side: the plain time-slice box as the
+    domain the checkers take."""
+    rule = lambda scale, outer: box_rule((half_width,) * 3, (n,) * 3)
+    return ScenarioSpec("box", "cartesian", True, True, rule)

@@ -40,7 +40,7 @@ from laue_lab.poincare import (
 from laue_lab.quadrature import HyperplanePatch, laue_integrals
 from laue_lab.scenarios import build
 
-from field_builders import constant_field, make_spatial_bump
+from field_builders import box_spec, constant_field, make_spatial_bump
 
 SIG = Signature.mostly_minus(4)
 ETA = MetricField.minkowski(4)
@@ -122,8 +122,8 @@ def test_moving_dust_rejected():
         classical_laue_report(T, spec, [0.5])
 
 
-def test_classical_report_accepts_plain_patch(conserved_blob):
-    rep = classical_laue_report(conserved_blob, blob_patch(32), [0.4])
+def test_classical_report_on_a_box_spec(conserved_blob):
+    rep = classical_laue_report(conserved_blob, box_spec(6.0, 32), [0.4])
     assert rep.four_vector
 
 
@@ -151,7 +151,7 @@ def test_fake_covariance_random_elements(conserved_blob):
                 translation(rng.standard_normal(4) * 0.3),
             ),
         )
-        assert fake_covariance_check(conserved_blob, blob_patch(24), g) < 1e-10
+        assert fake_covariance_check(conserved_blob, box_spec(6.0, 24), g) < 1e-10
 
 
 # --- partial-integration identity on a box ---

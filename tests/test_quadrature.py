@@ -56,7 +56,7 @@ from laue_lab.quadrature import (
 )
 from laue_lab.scenarios import build
 
-from field_builders import make_static_dust
+from field_builders import box_spec, make_static_dust
 
 SIG = Signature.mostly_minus(4)
 ETA = MetricField.minkowski(4)
@@ -378,10 +378,12 @@ def test_change_of_variables_exact_on_nodes():
         base = np.exp(-np.sum(points[..., :] ** 2, axis=-1))
         return base[..., None] * direction
 
-    omega = FormField(4, 3, omega_func)
-    image = transform_patch(g, patch)
-    lhs = integrate_form(omega, image)
-    rhs = integrate_form(active_transform(invert(g), omega), patch)
+    # the pullback along x -> A x + a: omega(A x + a) times the 3x3 minors of A
+    idxs = multi_indices(4, 3)
+    D = np.array([[np.linalg.det(g.A[np.ix_(J, I)]) for I in idxs] for J in idxs])
+    pulled_back = FormField(4, 3, lambda points: omega_func(g.apply(points)) @ D)
+    lhs = integrate_form(FormField(4, 3, omega_func), transform_patch(g, patch))
+    rhs = integrate_form(pulled_back, patch)
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
 
@@ -770,9 +772,7 @@ NAN_G = compose(rotation(1, 2, 0.7), compose(standard_boost(3, -0.4), translatio
         lambda T, patch: integrate_scalar_density(lambda p: T(p)[..., 0, 0], patch),
         lambda T, patch: four_momentum(*nan_shell_node()),
         lambda T, patch: gauss_residual(T, ScalarField(lambda p: np.sin(p[..., 1])), patch),
-        lambda T, patch: classical_laue_report(
-            nan_off_slice(), HyperplanePatch.time_slice(SIG, half_widths=1.0, grid=(16,)), [0.3]
-        ),
+        lambda T, patch: classical_laue_report(nan_off_slice(), box_spec(1.0, 16), [0.3]),
     ],
     ids=["four_momentum", "laue_integrals", "momentum_map", "transformed_momentum_map",
          "integrate_form", "integrate_scalar_density", "shell_nan_coordinate",
