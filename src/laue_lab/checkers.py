@@ -35,10 +35,10 @@ from .fields import (
 from .poincare import PoincareElement, coad, is_isometry, standard_boost
 from .quadrature import (
     HyperplanePatch,
+    ProductRule,
     _measure_factor,
     _reduce_patch,
     _simpson,
-    box_rule,
     evaluate_tiled,
     flux_charge,
     four_momentum,
@@ -241,7 +241,7 @@ def gauss_residual(
     Interior: integral of T^{mu n} d_n phi; boundary: integral of
     T^{mu n} phi nu_n over the six box faces.
     """
-    if patch.rule_nodes is not None:
+    if patch.rule is not None:
         raise ValueError("the boundary quadrature needs the default box rule")
     n_t = patch.sig.n - 1
 
@@ -253,9 +253,9 @@ def gauss_residual(
     rhs = 0.0
     for axis in range(n_t):
         others = [i for i in range(n_t) if i != axis]
-        face_nodes, face_weights = box_rule(
+        face_nodes, face_weights = ProductRule.box(
             patch.half_widths[others], [patch.grid[i] for i in others]
-        )
+        ).whole()
         for sign in (+1.0, -1.0):
             fn = np.insert(face_nodes, axis, sign * patch.half_widths[axis], axis=1)
             face = patch.with_rule(fn, face_weights)
@@ -297,6 +297,10 @@ def geometric_laue_residuals(
     # alias onto a single far-field plane)
     idx = np.linspace(0, nodes.shape[0] - 1, 64).astype(int)
     pts_probe = patch.points(nodes[idx])
+    # the whole grid is read only here.  Freed before the tiled passes, it
+    # also lifts glibc's heap-trim threshold above a tile's temporaries; held
+    # through them, the flat passes re-faulted about 2.6 MB a tile
+    del nodes
 
     calJ = dual_form(J, g)
 
@@ -442,7 +446,7 @@ def conservation_check(
     lateral boundary, where the connecting-tube flux would contribute.  Both
     patches need the default box rule, whose edge cells that probe reads.
     """
-    if patch1.rule_nodes is not None or patch2.rule_nodes is not None:
+    if patch1.rule is not None or patch2.rule is not None:
         raise ValueError("the support probe needs the default box rule")
     support_ok = True
     for patch in (patch1, patch2):

@@ -2,13 +2,15 @@
 
 A patch is an oriented bounded (n-1)-dimensional affine plane carrying its
 own quadrature rule: by default the midpoint rule on a uniform grid in
-tangent coordinates, optionally a caller-supplied node/weight set (used for
-radially adapted rules on scenario fields with 1/r^4 tails).  Node
-placement lives in tangent coordinates, so transforming a patch maps nodes
-exactly onto nodes and change-of-variables identities hold to roundoff.
+tangent coordinates, optionally another :class:`ProductRule` (radially
+adapted rules on scenario fields with 1/r^4 tails, or caller-supplied
+node/weight arrays).  Node placement lives in tangent coordinates, so
+transforming a patch maps nodes exactly onto nodes and change-of-variables
+identities hold to roundoff.
 
-Sums are fixed-order pairwise reductions over one tile at a time,
-deterministic across runs and tile sizes.
+A rule is held as its 1-D factors and built one tile at a time; sums are
+fixed-order pairwise reductions over one tile at a time, deterministic
+across runs and tile sizes.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ __all__ = [
     "transform_patch",
     "momentum_map",
     "momentum_basis",
-    "box_rule",
+    "MAX_NODES",
+    "ProductRule",
     "spherical_rule",
     "map_rule_affine",
     "pairwise_sum",
@@ -93,18 +96,145 @@ def evaluate_tiled(func: Callable, points: np.ndarray) -> np.ndarray:
     )
 
 
-def box_rule(half_widths, grid):
-    """Midpoint rule on the box of the given half widths with ``grid[k]``
-    cells along axis k: nodes (m, len(grid)) in C order, equal weights (m,)."""
-    axes = []
-    cell = 1.0
-    for L, N in zip(half_widths, grid):
-        step = 2.0 * L / N
-        axes.append(-L + (np.arange(N) + 0.5) * step)
-        cell *= step
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    return nodes, np.full(nodes.shape[0], cell)
+# the largest rule a patch may carry; a larger one is refused from its factor
+# sizes, before any factor is allocated.  ``scenario coulomb_shell --grid-n
+# 96`` is 2,230,272 nodes; one streamed pass over 2**25 takes seconds.
+MAX_NODES = 2**25
+
+
+def _node_count(m: int) -> int:
+    """``m``, or ValueError when it exceeds :data:`MAX_NODES`."""
+    if m > MAX_NODES:
+        raise ValueError(f"a quadrature rule of {m:,} nodes exceeds the cap of "
+                         f"{MAX_NODES:,} nodes (quadrature.MAX_NODES)")
+    return m
+
+
+@dataclass(frozen=True)
+class ProductRule:
+    """A quadrature rule in tangent coordinates, handed out a tile at a time.
+
+    Node k pairs row k // inner of an outer factor with row k % inner of an
+    inner one: radii with the direction table of a spherical rule, axis-0
+    midpoints with the mesh of the other axes of a box, or the rows of
+    explicit arrays (inner = 1).  ``rows(i0, i1)`` builds the nodes and
+    weights of outer rows [i0, i1) with the expressions of the whole rule, so
+    a tile is bitwise those nodes of the whole rule.  ``affine`` = (S^-1,
+    shift, |det S^-1|), if set, maps each tile as :func:`map_rule_affine`.
+    """
+
+    size: int
+    dim: int
+    inner: int
+    rows: Callable
+    affine: Optional[tuple] = None
+
+    @classmethod
+    def explicit(cls, nodes, weights) -> "ProductRule":
+        """Given node (m, dim) and weight (m,) arrays, tiled by slicing."""
+        nodes = np.asarray(nodes, float)
+        weights = np.asarray(weights, float)
+        if nodes.ndim != 2 or weights.shape != (nodes.shape[0],):
+            raise ValueError("bad custom rule shapes")
+        nodes.flags.writeable = False
+        weights.flags.writeable = False
+        return cls(len(weights), nodes.shape[1], 1, lambda i0, i1: (nodes[i0:i1], weights[i0:i1]))
+
+    @classmethod
+    def box(cls, half_widths, grid) -> "ProductRule":
+        """Midpoint rule on the box of the given half widths with ``grid[k]``
+        cells along axis k: nodes in C order, equal weights."""
+        grid = tuple(int(N) for N in grid)
+        size = _node_count(math.prod(grid))
+        axes = []
+        cell = 1.0
+        for L, N in zip(half_widths, grid):
+            step = 2.0 * L / N
+            axes.append(-L + (np.arange(N) + 0.5) * step)
+            cell *= step
+        mesh = np.meshgrid(*axes[1:], indexing="ij")
+        rest = np.stack([m.ravel() for m in mesh], axis=-1) if mesh else np.zeros((1, 0))
+        dim = len(axes)
+
+        def rows(i0, i1):
+            nodes = np.empty((i1 - i0, len(rest), dim))
+            nodes[..., 0] = axes[0][i0:i1, None]
+            nodes[..., 1:] = rest
+            return nodes.reshape(-1, dim), np.full((i1 - i0) * len(rest), cell)
+
+        return cls(size, dim, len(rest), rows)
+
+    @classmethod
+    def spherical(cls, segments, n_theta: int, n_phi: int) -> "ProductRule":
+        """Product rule on R^3: per-segment Simpson in radius (optionally on a
+        log grid), midpoint in cos(theta) and phi.
+
+        ``segments`` is a list of (r_lo, r_hi, n_r, spacing) with spacing in
+        {"linear", "log"} and even n_r.  The r^2 Jacobian is folded into the
+        weights.
+        """
+        size = _node_count(sum(seg[2] + 1 for seg in segments) * n_theta * n_phi)
+        r_list, wr_list = [], []
+        for r_lo, r_hi, n_r, spacing in segments:
+            coeff = _simpson(n_r)
+            if spacing == "log":
+                if r_lo <= 0:
+                    raise ValueError("log spacing needs r_lo > 0")
+                s = np.linspace(math.log(r_lo), math.log(r_hi), n_r + 1)
+                r = np.exp(s)
+                jac = r  # dr/ds
+                ds = s[1] - s[0]
+            elif spacing == "linear":
+                r = np.linspace(r_lo, r_hi, n_r + 1)
+                jac = np.ones_like(r)
+                ds = r[1] - r[0]
+            else:
+                raise ValueError(f"unknown spacing {spacing!r}")
+            wr = coeff * ds / 3.0 * jac * r**2
+            r_list.append(r)
+            wr_list.append(wr)
+        r_all = np.concatenate(r_list)
+        wr_all = np.concatenate(wr_list)
+
+        du = 2.0 / n_theta
+        u = -1.0 + (np.arange(n_theta) + 0.5) * du
+        dphi = 2.0 * math.pi / n_phi
+        phi = (np.arange(n_phi) + 0.5) * dphi
+        su = np.sqrt(1.0 - u**2)
+        dirs = np.stack(
+            [
+                np.outer(su, np.cos(phi)).ravel(),
+                np.outer(su, np.sin(phi)).ravel(),
+                np.repeat(u, n_phi),
+            ],
+            axis=-1,
+        )
+        w_ang = np.full(dirs.shape[0], du * dphi)
+
+        def rows(i0, i1):
+            return ((r_all[i0:i1, None, None] * dirs[None, :, :]).reshape(-1, 3),
+                    (wr_all[i0:i1, None] * w_ang[None, :]).ravel())
+
+        return cls(size, 3, len(dirs), rows)
+
+    def mapped(self, S, shift) -> "ProductRule":
+        """This rule pushed through u = S x + shift, tile by tile."""
+        return replace(self, affine=_inverse_map(S, shift))
+
+    def tile(self, lo: int, hi: int):
+        """Nodes (k, dim) and weights (k,) of the nodes [lo, min(hi, size))."""
+        hi = min(hi, self.size)
+        i0 = lo // self.inner
+        nodes, weights = self.rows(i0, -(-hi // self.inner))
+        cut = slice(lo - i0 * self.inner, hi - i0 * self.inner)
+        nodes, weights = nodes[cut], weights[cut]
+        if self.affine is not None:
+            nodes, weights = _map_affine(nodes, weights, *self.affine)
+        return nodes, weights
+
+    def whole(self):
+        """Nodes (size, dim) and weights (size,) of the whole rule."""
+        return self.tile(0, self.size)
 
 
 @dataclass(frozen=True)
@@ -113,9 +243,8 @@ class HyperplanePatch:
     handedness of its tangent frame (:meth:`frame_phase`).
 
     ``tangent_frame`` rows are eta-orthonormal and eta-orthogonal to the
-    normal.  ``rule_nodes``/``rule_weights`` override the default midpoint
-    grid; nodes are tangent coordinates, weights already include the cell
-    measure.
+    normal.  ``rule`` overrides the default midpoint grid; its nodes are
+    tangent coordinates, its weights already include the cell measure.
     """
 
     origin: np.ndarray
@@ -124,8 +253,7 @@ class HyperplanePatch:
     half_widths: np.ndarray
     grid: tuple
     sig: Signature
-    rule_nodes: Optional[np.ndarray] = None
-    rule_weights: Optional[np.ndarray] = None
+    rule: Optional[ProductRule] = None
 
     def __post_init__(self):
         origin = np.asarray(self.origin, float)
@@ -155,17 +283,8 @@ class HyperplanePatch:
             val.flags.writeable = False
             object.__setattr__(self, name, val)
         object.__setattr__(self, "grid", tuple(int(g) for g in self.grid))
-        if (self.rule_nodes is None) != (self.rule_weights is None):
-            raise ValueError("rule nodes and weights must be supplied together")
-        if self.rule_nodes is not None:
-            nodes = np.asarray(self.rule_nodes, float)
-            weights = np.asarray(self.rule_weights, float)
-            if nodes.ndim != 2 or nodes.shape[1] != n - 1 or weights.shape != (nodes.shape[0],):
-                raise ValueError("bad custom rule shapes")
-            nodes.flags.writeable = False
-            weights.flags.writeable = False
-            object.__setattr__(self, "rule_nodes", nodes)
-            object.__setattr__(self, "rule_weights", weights)
+        if self.rule is not None and self.rule.dim != n - 1:
+            raise ValueError("bad custom rule shapes")
 
     @classmethod
     def time_slice(
@@ -190,14 +309,20 @@ class HyperplanePatch:
         return cls(origin, frame, normal, hw, grid, sig)
 
     def with_rule(self, nodes: np.ndarray, weights: np.ndarray) -> "HyperplanePatch":
-        return replace(self, rule_nodes=np.asarray(nodes, float),
-                       rule_weights=np.asarray(weights, float))
+        return replace(self, rule=ProductRule.explicit(nodes, weights))
+
+    def tiled_rule(self) -> ProductRule:
+        """The custom rule, or the midpoint grid of ``half_widths`` and ``grid``."""
+        return self.rule if self.rule is not None else ProductRule.box(self.half_widths, self.grid)
+
+    @property
+    def rule_nodes(self) -> Optional[np.ndarray]:
+        """The custom rule's whole node array, built on each read; None on the grid."""
+        return None if self.rule is None else self.rule.whole()[0]
 
     def nodes_weights(self):
-        """Tangent-coordinate nodes and weights of the quadrature rule."""
-        if self.rule_nodes is not None:
-            return self.rule_nodes, self.rule_weights
-        return box_rule(self.half_widths, self.grid)
+        """Tangent-coordinate nodes and weights of the whole quadrature rule."""
+        return self.tiled_rule().whole()
 
     def points(self, nodes=None) -> np.ndarray:
         """origin + sum_k nodes[:, k] frame[k], per node without BLAS
@@ -239,20 +364,21 @@ def _reduce_patch(func: Callable, patch: HyperplanePatch, factor: float, weighte
     array per tile whose rows carry w, the rule weight times ``factor``:
     the one sample-and-reduce pass.
 
-    Tile by tile it forms the points, samples ``func``, rejects non-finite
-    samples and pairwise-sums each row; the tile sums then go through the
-    same pairwise tree, so every result is bitwise the pairwise sum of the
-    whole row, while memory stays bounded by the one tile in flight.
+    Tile by tile it asks the rule for the nodes and weights, forms the
+    points, samples ``func``, rejects non-finite samples and pairwise-sums
+    each row; the tile sums then go through the same pairwise tree, so every
+    result is bitwise the pairwise sum of the whole row, while memory stays
+    bounded by the one tile in flight, rule included.
     """
-    nodes, weights = patch.nodes_weights()
-    weights = weights * factor
+    rule = patch.tiled_rule()
     sums = []
-    for lo in range(0, len(weights), TILE):
-        pts = patch.points(nodes[lo : lo + TILE])
+    for lo in range(0, rule.size, TILE):
+        nodes, weights = rule.tile(lo, lo + TILE)
+        pts = patch.points(nodes)
         vals = evaluate_tiled(func, pts)
         _require_finite(vals, pts)
         # the transpose of the rows is column input that needs no copy
-        sums.append(pairwise_sum(weighted_rows(vals, pts, weights[lo : lo + TILE]).T))
+        sums.append(pairwise_sum(weighted_rows(vals, pts, weights * factor).T))
     return _pair_tree(np.stack(sums, axis=-1))
 
 
@@ -445,57 +571,20 @@ def _simpson(n: int) -> np.ndarray:
 
 
 def spherical_rule(segments, n_theta: int, n_phi: int):
-    """Product rule on R^3: per-segment Simpson in radius (optionally on a
-    log grid), midpoint in cos(theta) and phi.
+    """Whole arrays of :meth:`ProductRule.spherical`: nodes (m, 3), weights (m,)."""
+    return ProductRule.spherical(segments, n_theta, n_phi).whole()
 
-    ``segments`` is a list of (r_lo, r_hi, n_r, spacing) with spacing in
-    {"linear", "log"} and even n_r.  Returns (nodes (m,3), weights (m,))
-    with the r^2 Jacobian folded into the weights.
-    """
-    r_list, wr_list = [], []
-    for r_lo, r_hi, n_r, spacing in segments:
-        coeff = _simpson(n_r)
-        if spacing == "log":
-            if r_lo <= 0:
-                raise ValueError("log spacing needs r_lo > 0")
-            s = np.linspace(math.log(r_lo), math.log(r_hi), n_r + 1)
-            r = np.exp(s)
-            jac = r  # dr/ds
-            ds = s[1] - s[0]
-        elif spacing == "linear":
-            r = np.linspace(r_lo, r_hi, n_r + 1)
-            jac = np.ones_like(r)
-            ds = r[1] - r[0]
-        else:
-            raise ValueError(f"unknown spacing {spacing!r}")
-        wr = coeff * ds / 3.0 * jac * r**2
-        r_list.append(r)
-        wr_list.append(wr)
-    r_all = np.concatenate(r_list)
-    wr_all = np.concatenate(wr_list)
 
-    du = 2.0 / n_theta
-    u = -1.0 + (np.arange(n_theta) + 0.5) * du
-    dphi = 2.0 * math.pi / n_phi
-    phi = (np.arange(n_phi) + 0.5) * dphi
-    su = np.sqrt(1.0 - u**2)
-    dirs = np.stack(
-        [
-            np.outer(su, np.cos(phi)).ravel(),
-            np.outer(su, np.sin(phi)).ravel(),
-            np.repeat(u, n_phi),
-        ],
-        axis=-1,
-    )
-    w_ang = np.full(dirs.shape[0], du * dphi)
-    nodes = (r_all[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-    weights = (wr_all[:, None] * w_ang[None, :]).ravel()
-    return nodes, weights
+def _inverse_map(S, shift):
+    """(S^-1, shift, |det S^-1|) of the map u = S x + shift."""
+    Sinv = np.linalg.inv(np.asarray(S, float))
+    return Sinv, np.asarray(shift, float), abs(np.linalg.det(Sinv))
+
+
+def _map_affine(nodes, weights, Sinv, shift, jac):
+    return _matvec(np.asarray(nodes, float) - shift, Sinv), np.asarray(weights, float) * jac
 
 
 def map_rule_affine(nodes: np.ndarray, weights: np.ndarray, S: np.ndarray, shift):
     """Push a spatial rule through u = S x + shift: x = S^{-1}(u - shift)."""
-    S = np.asarray(S, float)
-    Sinv = np.linalg.inv(S)
-    mapped = _matvec(np.asarray(nodes, float) - np.asarray(shift, float), Sinv)
-    return mapped, np.asarray(weights, float) * abs(np.linalg.det(Sinv))
+    return _map_affine(nodes, weights, *_inverse_map(S, shift))

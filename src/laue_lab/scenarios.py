@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,12 +26,7 @@ import numpy as np
 from .exterior import Signature
 from .fields import SymTensorField, _spatial_r2
 from .poincare import PoincareElement, invert
-from .quadrature import (
-    HyperplanePatch,
-    box_rule,
-    map_rule_affine,
-    spherical_rule,
-)
+from .quadrature import HyperplanePatch, ProductRule
 
 __all__ = [
     "ScenarioSpec",
@@ -50,8 +45,10 @@ _EDGE_NUDGE = 1e-12
 @dataclass
 class ScenarioSpec:
     """Scenario metadata plus its preferred slice quadrature: ``rule(scale,
-    outer)`` gives nodes (m, 3) and weights (m,) in comoving coordinates;
-    ``outer`` overrides a radial rule's outer radius, a box rule ignores it."""
+    outer)`` gives a :class:`ProductRule` in comoving coordinates, which
+    refuses more than ``quadrature.MAX_NODES`` nodes from its factor sizes
+    before allocating; ``outer`` overrides a radial rule's outer radius, a
+    box rule ignores it."""
 
     name: str
     kind: str  # "radial" or "cartesian"
@@ -80,29 +77,25 @@ class ScenarioSpec:
 
         Nodes are generated in the comoving spatial coordinates
         u = spatial(g^{-1}(0, x)), where the transformed field keeps its
-        original shape, then mapped back to slice coordinates.  ``g = None``
-        or the identity reproduces the plain centered rule.
+        original shape, then mapped back to slice coordinates, tile by tile.
+        ``g = None`` attaches no map and gives the plain centered rule.
         """
         n = sig.n
         if n != 4:
             raise ValueError("scenario quadrature is four-dimensional")
-        if g is None:
-            S = np.eye(3)
-            shift = np.zeros(3)
-        else:
+        rule = self.rule(scale, outer)
+        if g is not None:
             ginv = invert(g)
             S = ginv.A[1:, 1:]
-            shift = ginv.apply(np.zeros(n))[1:]
             if abs(np.linalg.det(S)) < 1e-12:
                 raise ValueError("slice is degenerate in adapted coordinates")
-        nodes, weights = map_rule_affine(*self.rule(scale, outer), S, shift)
-        base = HyperplanePatch.time_slice(sig, half_widths=1.0, grid=(2,))
-        return base.with_rule(nodes, weights)
+            rule = rule.mapped(S, ginv.apply(np.zeros(n))[1:])
+        return replace(HyperplanePatch.time_slice(sig, half_widths=1.0, grid=(2,)), rule=rule)
 
 
 def _box(half_widths):
     """Midpoint rule on the box of these half widths, 48 * scale cells a side."""
-    return lambda scale, outer: box_rule(half_widths, (max(2, round(48 * scale)),) * 3)
+    return lambda scale, outer: ProductRule.box(half_widths, (max(2, round(48 * scale)),) * 3)
 
 
 # --- the scenarios: each returns (T^{ab} as a point function, spec) ---
@@ -176,7 +169,7 @@ def _shell(completed: bool):
                 (R * (1.0 + _EDGE_NUDGE), outer if outer is not None else r_out,
                  2 * max(1, round(48 * scale)), "log"),
             ]
-            return spherical_rule(segments, n_ang, n_ang)
+            return ProductRule.spherical(segments, n_ang, n_ang)
 
         P0 = q**2 / (8.0 * math.pi) * (1.0 / R - 1.0 / r_out)
         return func, ScenarioSpec(
@@ -274,7 +267,11 @@ def build(name: str, **params):
     """Return (T, spec) for a named scenario.  Parameters are checked and
     typed by :func:`scenario_params`, then the scenario checks their ranges."""
     params = scenario_params(name, params)
-    func, spec = _SCENARIOS[name](**params)
+    try:
+        func, spec = _SCENARIOS[name](**params)
+    except OverflowError as exc:
+        given = ", ".join(f"{key} = {value!r}" for key, value in params.items())
+        raise OverflowError(f"{name}: a closed form overflows float arithmetic at {given}") from exc
     return SymTensorField(func), spec
 
 

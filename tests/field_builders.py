@@ -5,7 +5,7 @@ import numpy as np
 
 from laue_lab.exterior import Signature
 from laue_lab.fields import MetricField, ScalarField, SymTensorField, VectorField
-from laue_lab.quadrature import box_rule
+from laue_lab.quadrature import ProductRule
 from laue_lab.scenarios import ScenarioSpec
 
 
@@ -63,5 +63,5 @@ def box_spec(half_width, n):
     """A stationary, conserved scenario spec whose rule at every scale is the
     midpoint box of ``n`` cells a side: the plain time-slice box as the
     domain the checkers take."""
-    rule = lambda scale, outer: box_rule((half_width,) * 3, (n,) * 3)
+    rule = lambda scale, outer: ProductRule.box((half_width,) * 3, (n,) * 3)
     return ScenarioSpec("box", "cartesian", True, True, rule)

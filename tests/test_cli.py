@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from laue_lab import cli
+from laue_lab import cli, quadrature
 from laue_lab.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -417,24 +417,47 @@ def test_memory_error_is_numeric_fault(monkeypatch, capsys, exc):
 
 
 @pytest.mark.parametrize(
-    "section, argv",
+    "section, argv, named",
     [
-        (f"[scenario.coulomb_shell]\nq = {2.0**700!r}\n", ["scenario", "coulomb_shell"]),
+        (f"[scenario.coulomb_shell]\nq = {2.0**700!r}\n", ["scenario", "coulomb_shell"],
+         f"coulomb_shell: a closed form overflows float arithmetic at q = {2.0**700!r}"),
         (f"[scenario.coulomb_shell]\nq = {2.0**700!r}\n",
-         ["laue", "fake", "--scenario", "coulomb_shell"]),
-        ("[scenario.gaussian_dust]\nsigma = 1e200\n", ["scenario", "gaussian_dust"]),
+         ["laue", "fake", "--scenario", "coulomb_shell"],
+         f"coulomb_shell: a closed form overflows float arithmetic at q = {2.0**700!r}"),
+        ("[scenario.gaussian_dust]\nsigma = 1e200\n", ["scenario", "gaussian_dust"],
+         "gaussian_dust: a closed form overflows float arithmetic at sigma = 1e+200"),
     ],
     ids=["scenario_coulomb_shell", "laue_fake_coulomb_shell", "scenario_gaussian_dust"],
 )
-def test_overflow_in_a_closed_form_is_numeric_fault(tmp_path, capsys, section, argv):
+def test_overflow_in_a_closed_form_is_numeric_fault(tmp_path, capsys, section, argv, named):
     # a finite parameter whose closed form overflows Python float arithmetic
-    # raises OverflowError, an ArithmeticError: a numeric fault, not a verdict
+    # raises OverflowError, an ArithmeticError: a numeric fault, not a verdict,
+    # reported with the scenario and the parameter that overflowed
     cfg = tmp_path / "run.ini"
     cfg.write_text(section)
     code, out, err = run(capsys, "--config", str(cfg), *argv)
     assert code == EXIT_NUMERIC
     assert out == ""
-    assert err.startswith("numeric fault: ") and err.count("\n") == 1
+    assert err == f"numeric fault: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, nodes",
+    [
+        # (2 * 12 + 2 * 48) N / 48 + 2 radii, each with (N / 48 * 48)^2 directions
+        (["scenario", "coulomb_shell", "--grid-n", str(10**12)], 2_500_000_000_002 * 10**24),
+        (["laue", "classical", "--grid-n", "400"], 400**3),  # the gaussian_dust box
+    ],
+    ids=["shell", "box"],
+)
+def test_oversized_rule_is_refused_before_allocation(capsys, argv, nodes):
+    # the node count comes from the factor sizes; at 10^12 any allocation of a
+    # factor fails, so exit 2 rather than a MemoryError's 3 shows none was tried
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == (f"error: a quadrature rule of {nodes:,} nodes exceeds the cap of "
+                   f"{quadrature.MAX_NODES:,} nodes (quadrature.MAX_NODES)\n")
 
 
 def test_config_scenario_key_is_applied(tmp_path, capsys):
@@ -554,10 +577,13 @@ def test_every_accepted_flag_is_read(monkeypatch, command, check):
 
 # public src/ names, of functions, classes, methods and properties, that no
 # other src/ definition names, each with why it stays.
-# perfbench/spans.py also looks up by attribute the field classes, their own
-# __call__ and HyperplanePatch.rule_nodes, so those may not be renamed either.
+# perfbench/spans.py also looks up by attribute the field classes and their own
+# __call__, so those may not be renamed either.
 KEEP = {
     "laue_integrals": "perfbench/spans.py wraps it by attribute lookup",
+    "spherical_rule": "perfbench/spans.py wraps it; whole-array oracle of the streamed rule",
+    "map_rule_affine": "perfbench/spans.py wraps it; whole-array oracle of a mapped rule",
+    "rule_nodes": "perfbench/spans.py reads it in its node counter",
     "hodge_comps": "perfbench/spans.py wraps it; oracle of the vector-dual test",
     "virial_check": "acceptance criterion 10 reads it",
     "alt": "test oracle of the wedge convention",
@@ -729,6 +755,7 @@ def test_benchmark_traced_mode_runs_a_scenario():
         "tracer.install()\n"
         "from laue_lab.cli import main\n"
         "codes = [main(['scenario', 'gaussian_dust', '--grid-n', '12']),\n"
+        "         main(['scenario', 'coulomb_shell', '--grid-n', '8']),\n"
         "         main(['verify', 'identities'])]\n"
         "print(json.dumps(sorted({span[0] for span in tracer.spans})))\n"
         "sys.exit(max(codes))\n"
@@ -739,6 +766,29 @@ def test_benchmark_traced_mode_runs_a_scenario():
     names = json.loads(proc.stdout.splitlines()[-1])
     assert {"cli", "scenarios", "quadrature.rule", "quadrature.reduce", "fields.eval",
             "fields.fd"} <= set(names)
+
+
+def test_peak_memory_is_bounded_by_the_tile():
+    # a patch holds its rule as 1-D factors and builds one tile of nodes at a
+    # time, so the 2,230,272 nodes of grid 96 peak where the 281,088 of grid
+    # 48 do; whole rules peaked at about 54 and 206 MB
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import contextlib, io, resource, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from laue_lab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['scenario', 'coulomb_shell', '--grid-n', sys.argv[1]])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    peak_mb = []
+    for grid_n in ("48", "96"):
+        proc = subprocess.run([sys.executable, "-c", script, grid_n], capture_output=True,
+                              text=True, timeout=300)
+        code, kib = proc.stdout.split()
+        assert (proc.returncode, code) == (0, "0"), proc.stderr
+        peak_mb.append(int(kib) / 1024)  # ru_maxrss is in KiB on Linux
+    assert abs(peak_mb[1] - peak_mb[0]) < 10, peak_mb
 
 
 @pytest.mark.parametrize("seed", [7, 11])

@@ -54,7 +54,7 @@ from laue_lab.quadrature import (
     spherical_rule,
     transform_patch,
 )
-from laue_lab.scenarios import build
+from laue_lab.scenarios import _EDGE_NUDGE, build
 
 from field_builders import box_spec, make_static_dust
 
@@ -633,8 +633,15 @@ def test_tile_is_a_whole_subtree_of_the_pairwise_tree():
     assert TILE % BLOCK == 0 and blocks & (blocks - 1) == 0  # a power of two
 
 
-@pytest.mark.parametrize("tile", [128, 1024, 8192, 65536])
-def test_reduce_patch_bitwise_at_any_tile_size(monkeypatch, tile):
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# a scale-0.4 shell has 361 directions a radius and a scale-2 one 9,216 > TILE,
+# so tiles of 128 and of TILE start inside a radius and larger ones span radii
+@pytest.mark.parametrize("tile, scale", [(128, 0.4), (1024, 0.4), (8192, 2.0), (65536, 2.0)],
+                         ids=["128", "1024", "8192", "65536"])
+def test_reduce_patch_bitwise_at_any_tile_size(monkeypatch, tile, scale):
     # reference at the module's own tile size; each tile size must give the
     # same bits, since a power-of-two tile is a subtree of the same tree
     dust = make_static_dust(1.0, 0.7)
@@ -652,11 +659,26 @@ def test_reduce_patch_bitwise_at_any_tile_size(monkeypatch, tile):
     shell_g, image = active_transform(g, shell), transform_patch(g, shell_patch)
     dust_g, box_g = active_transform(g, SymTensorField(source)), transform_patch(g, box)
     origin = np.array([0.1, -0.3, 0.2, 0.4])
+    streamed = spec.slice_patch(SIG, scale=scale)
+    adapted = spec.adapted_slice_patch(g, SIG, scale=scale)
+
+    # the tiles of the streamed rules are the whole rules, bit for bit
+    segments = [(1e-9, 1.0 - _EDGE_NUDGE, 2 * round(12 * scale), "linear"),
+                (1.0 + _EDGE_NUDGE, 1e3, 2 * round(48 * scale), "log")]
+    whole = spherical_rule(segments, round(48 * scale), round(48 * scale))
+    ginv = invert(g)
+    whole_g = map_rule_affine(*whole, ginv.A[1:, 1:], ginv.apply(np.zeros(4))[1:])
+    for patch, ref in ((streamed, whole), (adapted, whole_g)):
+        tiles = [patch.rule.tile(lo, lo + tile) for lo in range(0, patch.rule.size, tile)]
+        assert len(tiles) > 1
+        for k in (0, 1):  # nodes, weights
+            assert same_bits(np.concatenate([t[k] for t in tiles]), ref[k])
 
     def moments():
         # the shell's samples are component-major views, not C-ordered
         # arrays; the transformed dust reads its components as four fluxes
-        return patch_moments(dust, box), patch_moments(shell, shell_patch), patch_moments(dust_g, box_g)
+        return (patch_moments(dust, box), patch_moments(shell, shell_patch), patch_moments(dust_g, box_g),
+                patch_moments(shell, streamed), patch_moments(shell, adapted))
 
     refs, mv_ref = moments(), momentum_map(shell_g, image, origin)
     monkeypatch.setattr(quadrature, "TILE", tile)
