@@ -144,6 +144,18 @@ def _reference(value) -> float:
     return value
 
 
+def _norm(v) -> float:
+    """Euclidean norm of v, taken at the power-of-two scale of max |v|: the
+    rescaling is exact, so the squares neither underflow nor overflow and a
+    scale of T by 2^k scales the norm by exactly 2^k."""
+    v = np.asarray(v, float)
+    top = float(np.max(np.abs(v)))
+    if not (math.isfinite(top) and top > 0.0):
+        return top
+    e = math.frexp(top)[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
+
+
 def classical_laue_report(
     T: SymTensorField,
     spec: ScenarioSpec,
@@ -292,15 +304,11 @@ def geometric_laue_residuals(
     suitable support, and agree with each other to quadrature accuracy.
     """
     n = g.n
-    nodes, _ = patch.nodes_weights()
     # deterministic interior probe (strided subsets of the raveled grid can
     # alias onto a single far-field plane)
-    idx = np.linspace(0, nodes.shape[0] - 1, 64).astype(int)
-    pts_probe = patch.points(nodes[idx])
-    # the whole grid is read only here.  Freed before the tiled passes, it
-    # also lifts glibc's heap-trim threshold above a tile's temporaries; held
-    # through them, the flat passes re-faulted about 2.6 MB a tile
-    del nodes
+    rule = patch.tiled_rule()
+    idx = np.linspace(0, rule.size - 1, 64).astype(int)
+    pts_probe = patch.points(np.concatenate([rule.tile(i, i + 1)[0] for i in idx]))
 
     calJ = dual_form(J, g)
 
@@ -405,7 +413,7 @@ def equivariance_report(
     if restricted and not spec.conserved:
         raise ValueError("restricted equivariance requires a conserved scenario")
     base = momentum_map(T, patch, origin)
-    ref = _reference(np.linalg.norm(base.components()))
+    ref = _reference(_norm(base.components()))
     entries = []
     for label, g in g_list:
         if not is_isometry(g, sig):
@@ -414,11 +422,11 @@ def equivariance_report(
         image_patch = transform_patch(g, patch)
         T_g = active_transform(g, T)
         mv_full = momentum_map(T_g, image_patch, origin)
-        full = float(np.linalg.norm(mv_full.components() - predicted)) / ref
+        full = _norm(mv_full.components() - predicted) / ref
         res = None
         if restricted:
             mv_res = momentum_map(T_g, adapted(g), origin)
-            res = float(np.linalg.norm(mv_res.components() - predicted)) / ref
+            res = _norm(mv_res.components() - predicted) / ref
         entries.append(EquivarianceEntry(label, full, res, ref))
     return entries
 

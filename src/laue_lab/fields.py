@@ -174,10 +174,11 @@ def _spatial_r2(x):
 
 
 def _shift(points, direction, h):
-    """points + h e_d; a step that leaves some point's coordinate d unchanged
-    raises, since a difference across it would read 0 (or half the slope)."""
+    """points + h e_d, in the memory layout of ``points``; a step that leaves
+    some point's coordinate d unchanged raises, since a difference across it
+    would read 0 (or half the slope)."""
     points = np.asarray(points, float)
-    out = points.copy()
+    out = points.copy(order="K")
     column = out[..., direction]
     column += h
     if np.any(column == points[..., direction]):

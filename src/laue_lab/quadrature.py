@@ -11,6 +11,12 @@ identities hold to roundoff.
 A rule is held as its 1-D factors and built one tile at a time; sums are
 fixed-order pairwise reductions over one tile at a time, deterministic
 across runs and tile sizes.
+
+Tile arrays are component-major: each coordinate is one contiguous row of
+a (dim, m) block, handed out as its (m, dim) transposed view.  Rules emit
+their nodes so, and the per-node maps (:func:`poincare._matvec`) and finite
+differences keep it, so every map and field closure runs along contiguous
+node rows.
 """
 
 from __future__ import annotations
@@ -119,8 +125,9 @@ class ProductRule:
     midpoints with the mesh of the other axes of a box, or the rows of
     explicit arrays (inner = 1).  ``rows(i0, i1)`` builds the nodes and
     weights of outer rows [i0, i1) with the expressions of the whole rule, so
-    a tile is bitwise those nodes of the whole rule.  ``affine`` = (S^-1,
-    shift, |det S^-1|), if set, maps each tile as :func:`map_rule_affine`.
+    a tile is bitwise those nodes of the whole rule, component-major.
+    ``affine`` = (S^-1, shift, |det S^-1|), if set, maps each tile as
+    :func:`map_rule_affine`.
     """
 
     size: int
@@ -132,7 +139,7 @@ class ProductRule:
     @classmethod
     def explicit(cls, nodes, weights) -> "ProductRule":
         """Given node (m, dim) and weight (m,) arrays, tiled by slicing."""
-        nodes = np.asarray(nodes, float)
+        nodes = np.asfortranarray(nodes, float)
         weights = np.asarray(weights, float)
         if nodes.ndim != 2 or weights.shape != (nodes.shape[0],):
             raise ValueError("bad custom rule shapes")
@@ -153,16 +160,17 @@ class ProductRule:
             axes.append(-L + (np.arange(N) + 0.5) * step)
             cell *= step
         mesh = np.meshgrid(*axes[1:], indexing="ij")
-        rest = np.stack([m.ravel() for m in mesh], axis=-1) if mesh else np.zeros((1, 0))
-        dim = len(axes)
+        # one row per coordinate of the other axes: (dim - 1, mesh size)
+        rest = np.stack([m.ravel() for m in mesh]) if mesh else np.zeros((0, 1))
+        dim, inner = len(axes), rest.shape[1]
 
         def rows(i0, i1):
-            nodes = np.empty((i1 - i0, len(rest), dim))
-            nodes[..., 0] = axes[0][i0:i1, None]
-            nodes[..., 1:] = rest
-            return nodes.reshape(-1, dim), np.full((i1 - i0) * len(rest), cell)
+            nodes = np.empty((dim, i1 - i0, inner))
+            nodes[0] = axes[0][i0:i1, None]
+            nodes[1:] = rest[:, None, :]
+            return nodes.reshape(dim, -1).T, np.full((i1 - i0) * inner, cell)
 
-        return cls(size, dim, len(rest), rows)
+        return cls(size, dim, inner, rows)
 
     @classmethod
     def spherical(cls, segments, n_theta: int, n_phi: int) -> "ProductRule":
@@ -201,21 +209,21 @@ class ProductRule:
         dphi = 2.0 * math.pi / n_phi
         phi = (np.arange(n_phi) + 0.5) * dphi
         su = np.sqrt(1.0 - u**2)
+        # one row per coordinate: (3, n_theta * n_phi)
         dirs = np.stack(
             [
                 np.outer(su, np.cos(phi)).ravel(),
                 np.outer(su, np.sin(phi)).ravel(),
                 np.repeat(u, n_phi),
-            ],
-            axis=-1,
+            ]
         )
-        w_ang = np.full(dirs.shape[0], du * dphi)
+        w_ang = np.full(dirs.shape[1], du * dphi)
 
         def rows(i0, i1):
-            return ((r_all[i0:i1, None, None] * dirs[None, :, :]).reshape(-1, 3),
+            return ((dirs[:, None, :] * r_all[None, i0:i1, None]).reshape(3, -1).T,
                     (wr_all[i0:i1, None] * w_ang[None, :]).ravel())
 
-        return cls(size, 3, len(dirs), rows)
+        return cls(size, 3, dirs.shape[1], rows)
 
     def mapped(self, S, shift) -> "ProductRule":
         """This rule pushed through u = S x + shift, tile by tile."""
@@ -325,8 +333,8 @@ class HyperplanePatch:
         return self.tiled_rule().whole()
 
     def points(self, nodes=None) -> np.ndarray:
-        """origin + sum_k nodes[:, k] frame[k], per node without BLAS
-        (exact for coordinate frames)."""
+        """origin + sum_k nodes[:, k] frame[k]: (m, n) points, component-major
+        whatever the layout of ``nodes`` (see :func:`poincare._matvec`)."""
         if nodes is None:
             nodes, _ = self.nodes_weights()
         pts = _matvec(nodes, self.tangent_frame.T)
@@ -371,10 +379,14 @@ def _reduce_patch(func: Callable, patch: HyperplanePatch, factor: float, weighte
     bounded by the one tile in flight, rule included.
     """
     rule = patch.tiled_rule()
-    sums = []
+    sums, vals = [], None
     for lo in range(0, rule.size, TILE):
         nodes, weights = rule.tile(lo, lo + TILE)
         pts = patch.points(nodes)
+        # sample with neither the rule slab the nodes are cut from nor the last
+        # tile's samples alive; dropped only now, the samples keep the heap
+        # from emptying between tiles, so glibc does not trim it every tile
+        del nodes, vals
         vals = evaluate_tiled(func, pts)
         _require_finite(vals, pts)
         # the transpose of the rows is column input that needs no copy
@@ -525,9 +537,7 @@ def _flux_moments(T: SymTensorField, patch: HyperplanePatch, n_low, origin: np.n
         m = len(pts)
         rows = np.empty((n + n * n, m))
         np.multiply(jv.T, w, out=rows[:n])
-        # a contiguous (x - origin)^T: a strided one doubled the F1 product's time
-        x = np.subtract(pts.T, origin[:, None], out=np.empty((n, m)))
-        np.multiply(rows[:n, None], x, out=rows[n:].reshape(n, n, m))
+        np.multiply(rows[:n, None], pts.T - origin[:, None], out=rows[n:].reshape(n, n, m))
         return rows
 
     sums = _reduce_patch(

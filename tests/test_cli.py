@@ -300,6 +300,22 @@ def test_zero_reference_is_numeric_fault(tmp_path, capsys, check):
     assert err == "numeric fault: relative residual against a reference of 0.0\n"
 
 
+@pytest.mark.parametrize("k", [-500, -700, 700])
+def test_equivariance_rows_are_unit_free(tmp_path, capsys, k):
+    # rho0 = 2^k scales every sample of T by exactly 2^k, so every relative
+    # row keeps its bits; unscaled squares read 0.0 on every row at 2^-500
+    # and a reference of 0.0 or inf at 2^-+700
+    rows = []
+    for rho0 in (1.0, 2.0**k):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[scenario.gaussian_dust]\nrho0 = {rho0!r}\n")
+        code, out, err = run(capsys, "--config", str(cfg), "laue", "equivariance", "--grid-n", "8")
+        assert (code, err) == (EXIT_OK, "")
+        rows.append(out)
+    assert rows[1] == rows[0]
+    assert "0.0,gaussian_dust" not in rows[0]
+
+
 @pytest.mark.parametrize("suite", ["identities", "geometric", "conservation"])
 @pytest.mark.parametrize("h", ["0", "-0.001"])
 def test_non_positive_fd_h_is_usage_error(capsys, suite, h):

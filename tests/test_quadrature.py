@@ -20,9 +20,11 @@ from laue_lab.fields import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _shift,
     active_transform,
 )
 from laue_lab.poincare import (
+    _matvec,
     bivector_to_matrix,
     coad,
     compose,
@@ -690,6 +692,35 @@ def test_reduce_patch_bitwise_at_any_tile_size(monkeypatch, tile, scale):
     mv = momentum_map(shell_g, image, origin)
     assert np.array_equal(mv.fluxes, mv_ref.fluxes)
     assert np.array_equal(mv.components(), mv_ref.components())
+
+
+@pytest.mark.parametrize("kind", ["box", "shell", "adapted", "with_rule"])
+def test_tiles_are_component_major(kind):
+    # each coordinate is one contiguous row of a (dim, m) block, handed out
+    # as its (m, dim) transpose: the per-node maps and the field closures
+    # run along contiguous node rows
+    _, spec = build("completed_shell")
+    g = compose(rotation(1, 2, 0.7), standard_boost(3, -0.4))
+    m = 2 * TILE + 5
+    patch = {
+        "box": multi_tile_patch,
+        "shell": lambda: spec.slice_patch(SIG, scale=0.4),
+        "adapted": lambda: spec.adapted_slice_patch(g, SIG, scale=0.4),
+        "with_rule": lambda: HyperplanePatch.time_slice(SIG).with_rule(
+            RNG.uniform(-1.0, 1.0, (m, 3)), np.full(m, 1.0 / m)),
+    }[kind]()
+    assert patch.tiled_rule().tile(5, TILE + 5)[0].strides[0] == 8  # nodes are born so
+    seen = []
+
+    def f(points):
+        seen.append(points)
+        return np.ones(len(points))
+
+    integrate_scalar_density(f, patch)
+    assert len(seen) > 1 and all(pts.strides[0] == 8 for pts in seen)
+    for pts in (seen[0], np.ascontiguousarray(seen[0])):  # either layout in
+        assert _matvec(pts, g.A).strides[0] == 8
+        assert _shift(pts, 1, 1e-3).strides == pts.strides
 
 
 def test_samples_stay_within_one_tile():
