@@ -338,8 +338,9 @@ def geometric_laue_residuals(
     def integrand_B(points):
         # i_J mu and i_U mu from the same samples of J and U as the pairings
         u_phi, j_phi, u, j = pairings(points)
-        return (u_phi[..., None] * _volume_insert(j, g, points)
-                - j_phi[..., None] * _volume_insert(u, g, points))
+        eps = g.eps_top(points)
+        return (u_phi[..., None] * _volume_insert(j, eps)
+                - j_phi[..., None] * _volume_insert(u, eps))
 
     rB = abs(integrate_form(FormField(n, n - 1, integrand_B), patch))
 

@@ -324,14 +324,23 @@ def volume_form(n: int) -> PForm:
 # ---------------------------------------------------------------------------
 
 
-def minor_det(m: np.ndarray, rows, cols) -> np.ndarray:
+def minor_det(m: np.ndarray, rows: tuple, cols: tuple, _memo=None) -> np.ndarray:
     """det(m[..., rows, cols]) by first-row Laplace expansion on the strided
-    entries ``m[..., r, c]``: no minor is copied and no LAPACK call is made."""
+    entries ``m[..., r, c]``: no minor is copied and no LAPACK call is made.
+
+    Every sub-minor keeps the trailing rows, so its columns name it: ``_memo``
+    holds each distinct one, computed once (2**n sub-minors instead of n!)
+    with the arithmetic of the plain recursion, so the result is bitwise the
+    same. It lives for one top-level call."""
     if len(rows) == 1:
         return m[..., rows[0], cols[0]]
+    memo = {} if _memo is None else _memo
     out = 0.0
     for k, c in enumerate(cols):
-        term = m[..., rows[0], c] * minor_det(m, rows[1:], cols[:k] + cols[k + 1 :])
+        sub = cols[:k] + cols[k + 1 :]
+        if sub not in memo:
+            memo[sub] = minor_det(m, rows[1:], sub, memo)
+        term = m[..., rows[0], c] * memo[sub]
         out = out + term if k % 2 == 0 else out - term
     return out
 

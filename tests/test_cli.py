@@ -680,13 +680,23 @@ def test_exit_code_is_verdict_of_emitted_rows(capsys, argv):
     assert code == (EXIT_VERDICT if failed else EXIT_OK)
 
 
-def test_geometric_and_conservation_never_invert_the_metric(monkeypatch):
+def test_geometric_and_conservation_never_invert_or_det_per_node(monkeypatch):
     # vector duals are insertions into the volume form, so no dual on
-    # these paths needs a per-point metric inverse
+    # these paths needs a per-point metric inverse; sqrt|det g| comes from
+    # the strided Laplace expansion, so no stack of matrices reaches LAPACK
+    # (single-matrix det calls, such as a patch's frame, stay allowed)
+    det = np.linalg.det
+
     def no_inv(a):
         raise AssertionError("np.linalg.inv called")
 
+    def no_stacked_det(a):
+        if np.ndim(a) > 2:
+            raise AssertionError(f"np.linalg.det called on a stack of shape {np.shape(a)}")
+        return det(a)
+
     monkeypatch.setattr(np.linalg, "inv", no_inv)
+    monkeypatch.setattr(np.linalg, "det", no_stacked_det)
     for records in (run_geometric_suite(7), run_conservation_suite()):
         assert all(r.verdict != "fail" for r in records)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from laue_lab.cli import CURVED_METRIC, seeded_elements
-from laue_lab.exterior import Signature, multi_indices
+from laue_lab.exterior import Signature, minor_det, multi_indices
 from laue_lab.fields import (
     FormField,
     MetricField,
@@ -35,7 +35,7 @@ from laue_lab.poincare import (
     translation,
     wedge_vectors,
 )
-from laue_lab.quadrature import HyperplanePatch, map_rule_affine, transform_patch
+from laue_lab.quadrature import TILE, HyperplanePatch, map_rule_affine, transform_patch
 
 from field_builders import constant_field, make_spatial_bump, make_tilted_metric
 
@@ -643,3 +643,55 @@ def test_christoffels_curved_match_analytic():
     mask = np.ones((4, 4, 4), dtype=bool)
     mask[1, 1, 1] = False
     assert np.max(np.abs(G[:, mask])) < 1e-7
+
+
+# --- sqrt|det g| by the memoised Laplace expansion ---
+
+
+def _plain_minor_det(m, rows, cols):
+    # the first-row expansion without a memo: every sub-minor recomputed
+    if len(rows) == 1:
+        return m[..., rows[0], cols[0]]
+    out = 0.0
+    for k, c in enumerate(cols):
+        term = m[..., rows[0], c] * _plain_minor_det(m, rows[1:], cols[:k] + cols[k + 1 :])
+        out = out + term if k % 2 == 0 else out - term
+    return out
+
+
+def _random_metrics(n, m, seed):
+    # dense symmetric, non-degenerate: diag(+-(1 + u)) plus a symmetric 0.3 x N(0, 1)
+    rng = np.random.default_rng(seed)
+    a = 0.3 * rng.standard_normal((m, n, n))
+    diag = np.array(Signature.mostly_minus(n).diag) * (1.0 + rng.uniform(0, 1, (m, n)))
+    return a + np.swapaxes(a, -1, -2) + diag[..., None] * np.eye(n)
+
+
+@pytest.mark.parametrize("m", [1, TILE, TILE + 37])
+def test_eps_top_is_bitwise_lapack_on_curved_metric(m):
+    # CURVED_METRIC is diagonal with entries 1, -f^2, -1, -1: every product
+    # order gives the same bits, so the expansion must equal LAPACK exactly
+    pts = np.random.default_rng(m).uniform(-3, 3, (m, 4))
+    want = np.sqrt(np.abs(np.linalg.det(CURVED_METRIC(pts))))
+    got = CURVED_METRIC.eps_top(pts)
+    assert got.shape == (m,) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_eps_top_matches_lapack_on_dense_metrics(n):
+    gv = _random_metrics(n, 257, seed=n)
+    g = MetricField(Signature.mostly_minus(n), lambda pts: gv, flat=False)
+    want = np.sqrt(np.abs(np.linalg.det(gv)))
+    got = g.eps_top(np.zeros((257, n)))
+    assert np.max(np.abs(got - want) / want) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_memoised_minor_det_is_bitwise_the_plain_recursion(n):
+    gv = _random_metrics(n, 64, seed=10 + n)
+    axes = tuple(range(n))
+    assert np.array_equal(minor_det(gv, axes, axes), _plain_minor_det(gv, axes, axes))
+    for p in range(1, n):  # the off-diagonal minors raise_comps takes
+        for A in multi_indices(n, p):
+            for J in multi_indices(n, p):
+                assert np.array_equal(minor_det(gv, A, J), _plain_minor_det(gv, A, J))
