@@ -123,17 +123,6 @@ class LaueReport:
         return (self.four_vector_max_rel < self.rel_tol) == self.stress_vanish
 
 
-def _resolve_domain(spec: ScenarioSpec, sig: Signature, scale: float, outer=None):
-    """The scenario's slice patch on its preferred rule and the factory of
-    its rule adapted to a group element."""
-    base = spec.slice_patch(sig, scale=scale, outer=outer)
-
-    def adapted(g):
-        return spec.adapted_slice_patch(g, sig, scale=scale, outer=outer)
-
-    return base, adapted
-
-
 def _reference(value) -> float:
     """The scale a relative residual divides by.  A zero one means the check
     measured nothing (a residual of NaN, or a vacuous 0), so it raises, as
@@ -174,7 +163,7 @@ def classical_laue_report(
     Rejects non-stationary inputs, which the boosted-slice argument needs.
     """
     sig = sig or Signature.mostly_minus(4)
-    patch, adapted = _resolve_domain(spec, sig, scale)
+    patch = spec.slice_patch(sig, scale=scale)
     rng = np.random.default_rng(0)
     probe = rng.uniform(-1.0, 1.0, (32, 4))
     res = stationarity_residual(T, DEFAULT_H, probe)
@@ -192,7 +181,8 @@ def classical_laue_report(
     for beta in betas:
         gamma = 1.0 / math.sqrt(1.0 - beta * beta)
         boosted = boost_emt_analytic(T, beta)
-        P_direct = four_momentum(boosted, adapted(standard_boost(1, beta)))
+        adapted = spec.adapted_slice_patch(standard_boost(1, beta), sig, scale=scale)
+        P_direct = four_momentum(boosted, adapted)
         P_pred = np.array(
             [
                 gamma * (P[0] + 2 * beta * P[1] + beta**2 * S11),
@@ -234,7 +224,7 @@ def fake_covariance_check(
     image patch's nodes being the node images, it is exact to roundoff.
     """
     sig = sig or Signature.mostly_minus(4)
-    patch, _ = _resolve_domain(spec, sig, scale)
+    patch = spec.slice_patch(sig, scale=scale)
     P = four_momentum(T, patch)
     image = transform_patch(g, patch)
     P_image = four_momentum(active_transform(g, T), image)
@@ -253,8 +243,9 @@ def gauss_residual(
     Interior: integral of T^{mu n} d_n phi; boundary: integral of
     T^{mu n} phi nu_n over the six box faces.
     """
-    if patch.rule is not None:
+    if patch.rule.extent is None:
         raise ValueError("the boundary quadrature needs the default box rule")
+    half_widths, grid = patch.rule.extent
     n_t = patch.sig.n - 1
 
     def integral(rule_patch, factor, integrand):  # rows mu; non-finite samples raise
@@ -266,10 +257,10 @@ def gauss_residual(
     for axis in range(n_t):
         others = [i for i in range(n_t) if i != axis]
         face_nodes, face_weights = ProductRule.box(
-            patch.half_widths[others], [patch.grid[i] for i in others]
+            half_widths[others], [grid[i] for i in others]
         ).whole()
         for sign in (+1.0, -1.0):
-            fn = np.insert(face_nodes, axis, sign * patch.half_widths[axis], axis=1)
+            fn = np.insert(face_nodes, axis, sign * half_widths[axis], axis=1)
             face = patch.with_rule(fn, face_weights)
             rhs = rhs + integral(face, sign, lambda p: T(p)[..., :, 1 + axis] * phi(p)[..., None])
     return float(np.max(np.abs(lhs - rhs)))
@@ -306,7 +297,7 @@ def geometric_laue_residuals(
     n = g.n
     # deterministic interior probe (strided subsets of the raveled grid can
     # alias onto a single far-field plane)
-    rule = patch.tiled_rule()
+    rule = patch.rule
     idx = np.linspace(0, rule.size - 1, 64).astype(int)
     pts_probe = patch.points(np.concatenate([rule.tile(i, i + 1)[0] for i in idx]))
 
@@ -410,7 +401,7 @@ def equivariance_report(
     """
     sig = sig or Signature.mostly_minus(4)
     origin = np.asarray(origin, float)
-    patch, adapted = _resolve_domain(spec, sig, scale, outer)
+    patch = spec.slice_patch(sig, scale=scale, outer=outer)
     if restricted and not spec.conserved:
         raise ValueError("restricted equivariance requires a conserved scenario")
     base = momentum_map(T, patch, origin)
@@ -426,7 +417,8 @@ def equivariance_report(
         full = _norm(mv_full.components() - predicted) / ref
         res = None
         if restricted:
-            mv_res = momentum_map(T_g, adapted(g), origin)
+            adapted = spec.adapted_slice_patch(g, sig, scale=scale, outer=outer)
+            mv_res = momentum_map(T_g, adapted, origin)
             res = _norm(mv_res.components() - predicted) / ref
         entries.append(EquivarianceEntry(label, full, res, ref))
     return entries
@@ -455,14 +447,13 @@ def conservation_check(
     lateral boundary, where the connecting-tube flux would contribute.  Both
     patches need the default box rule, whose edge cells that probe reads.
     """
-    if patch1.rule is not None or patch2.rule is not None:
+    if patch1.rule.extent is None or patch2.rule.extent is None:
         raise ValueError("the support probe needs the default box rule")
     support_ok = True
     for patch in (patch1, patch2):
         nodes, _ = patch.nodes_weights()
-        edge = np.max(np.abs(nodes) / patch.half_widths, axis=1) > 1.0 - 2.0 / min(
-            patch.grid
-        )
+        half_widths, grid = patch.rule.extent
+        edge = np.max(np.abs(nodes) / half_widths, axis=1) > 1.0 - 2.0 / min(grid)
         if edge.any():
             pts = patch.points(nodes[edge])
             vals = evaluate_tiled(J, pts)

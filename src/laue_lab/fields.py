@@ -208,7 +208,9 @@ def _fd_stack(f, points, h: float, axis: int):
 
 
 def exterior_derivative(omega: FormField, h: float = DEFAULT_H) -> FormField:
-    """Finite-difference exterior derivative; d(d omega) = O(h^2)."""
+    """Finite-difference exterior derivative; d(d omega) = O(h^2).  A
+    covector-valued form (..., n, C(n, p)) is differentiated in one pass,
+    each value slot on its own."""
     n, p = omega.n, omega.p
     if p >= n:
         return FormField(n, n, lambda pts: np.zeros(np.asarray(pts).shape[:-1] + (1,)))
@@ -222,7 +224,7 @@ def exterior_derivative(omega: FormField, h: float = DEFAULT_H) -> FormField:
     def func(points):
         points = np.asarray(points, float)
         partials = _fd_stack(omega, points, h, 0)
-        out = np.zeros(points.shape[:-1] + (math.comb(n, p + 1),))
+        out = np.zeros(partials.shape[1:-1] + (math.comb(n, p + 1),))
         for out_rank, axis, in_rank, sign in table:
             out[..., out_rank] += sign * partials[axis][..., in_rank]
         return out
@@ -473,11 +475,8 @@ def identity_residuals(
 
     gamma = christoffels(g, h)(points) if not g.flat else None
 
-    row_forms = [
-        FormField(n, n - 1, (lambda a: lambda pts: calT(pts)[..., a, :])(a))
-        for a in range(n)
-    ]
-    d_rows = [exterior_derivative(f, h)(points)[..., 0] for f in row_forms]
+    # every row of calT in one stencil pass: d_rows[..., a] = d(calT_a)
+    d_rows = exterior_derivative(FormField(n, n - 1, calT), h)(points)[..., 0]
     if gamma is not None:
         calT_v = calT(points)
         for a in range(n):
@@ -485,8 +484,8 @@ def identity_residuals(
             for b in range(n):
                 one_form = gamma[..., b, :, a]
                 corr = wedge_comps(one_form, 1, calT_v[..., b, :], n - 1, n)
-                d_rows[a] = d_rows[a] - corr[..., 0]
-    defect = np.stack([d_rows[a] - div_low[..., a] * eps for a in range(n)], axis=-1)
+                d_rows[..., a] -= corr[..., 0]
+    defect = d_rows - div_low * np.asarray(eps)[..., None]
     _require_finite(defect, points)
     r1 = float(np.max(np.abs(defect)))
 

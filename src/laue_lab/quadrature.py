@@ -1,12 +1,11 @@
 """Bounded hyperplane patches, induced measures, and flux integrals.
 
 A patch is an oriented bounded (n-1)-dimensional affine plane carrying its
-own quadrature rule: by default the midpoint rule on a uniform grid in
-tangent coordinates, optionally another :class:`ProductRule` (radially
-adapted rules on scenario fields with 1/r^4 tails, or caller-supplied
-node/weight arrays).  Node placement lives in tangent coordinates, so
-transforming a patch maps nodes exactly onto nodes and change-of-variables
-identities hold to roundoff.
+own quadrature rule: a patch carries one :class:`ProductRule` (the midpoint
+rule on a box, a radially adapted rule on scenario fields with 1/r^4 tails,
+or caller-supplied node/weight arrays).  Node placement lives in tangent
+coordinates, so transforming a patch maps nodes exactly onto nodes and
+change-of-variables identities hold to roundoff.
 
 A rule is held as its 1-D factors and built one tile at a time; sums are
 fixed-order pairwise reductions over one tile at a time, deterministic
@@ -127,7 +126,9 @@ class ProductRule:
     weights of outer rows [i0, i1) with the expressions of the whole rule, so
     a tile is bitwise those nodes of the whole rule, component-major.
     ``affine`` = (S^-1, shift, |det S^-1|), if set, maps each tile as
-    :func:`map_rule_affine`.
+    :func:`map_rule_affine`.  ``extent`` = (half widths, cells per axis) is
+    set by :meth:`box` alone and cleared by :meth:`mapped`: it is the box
+    whose faces and edge cells the box-only checks read.
     """
 
     size: int
@@ -135,6 +136,7 @@ class ProductRule:
     inner: int
     rows: Callable
     affine: Optional[tuple] = None
+    extent: Optional[tuple] = None
 
     @classmethod
     def explicit(cls, nodes, weights) -> "ProductRule":
@@ -151,7 +153,12 @@ class ProductRule:
     def box(cls, half_widths, grid) -> "ProductRule":
         """Midpoint rule on the box of the given half widths with ``grid[k]``
         cells along axis k: nodes in C order, equal weights."""
+        half_widths = np.array(half_widths, float)
         grid = tuple(int(N) for N in grid)
+        if (half_widths.shape != (len(grid),) or (half_widths <= 0).any()
+                or any(N < 1 for N in grid)):
+            raise ValueError("half widths must be positive, grid at least 1 per axis")
+        half_widths.flags.writeable = False
         size = _node_count(math.prod(grid))
         axes = []
         cell = 1.0
@@ -170,7 +177,7 @@ class ProductRule:
             nodes[1:] = rest[:, None, :]
             return nodes.reshape(dim, -1).T, np.full((i1 - i0) * inner, cell)
 
-        return cls(size, dim, inner, rows)
+        return cls(size, dim, inner, rows, extent=(half_widths, grid))
 
     @classmethod
     def spherical(cls, segments, n_theta: int, n_phi: int) -> "ProductRule":
@@ -226,8 +233,9 @@ class ProductRule:
         return cls(size, 3, dirs.shape[1], rows)
 
     def mapped(self, S, shift) -> "ProductRule":
-        """This rule pushed through u = S x + shift, tile by tile."""
-        return replace(self, affine=_inverse_map(S, shift))
+        """This rule pushed through u = S x + shift, tile by tile; a mapped
+        box is no box in tangent coordinates, so it has no ``extent``."""
+        return replace(self, affine=_inverse_map(S, shift), extent=None)
 
     def tile(self, lo: int, hi: int):
         """Nodes (k, dim) and weights (k,) of the nodes [lo, min(hi, size))."""
@@ -251,23 +259,20 @@ class HyperplanePatch:
     handedness of its tangent frame (:meth:`frame_phase`).
 
     ``tangent_frame`` rows are eta-orthonormal and eta-orthogonal to the
-    normal.  ``rule`` overrides the default midpoint grid; its nodes are
+    normal.  ``rule`` is the patch's one quadrature rule: its nodes are
     tangent coordinates, its weights already include the cell measure.
     """
 
     origin: np.ndarray
     tangent_frame: np.ndarray
     normal: np.ndarray
-    half_widths: np.ndarray
-    grid: tuple
     sig: Signature
-    rule: Optional[ProductRule] = None
+    rule: ProductRule
 
     def __post_init__(self):
         origin = np.asarray(self.origin, float)
         frame = np.asarray(self.tangent_frame, float)
         normal = np.asarray(self.normal, float)
-        hw = np.asarray(self.half_widths, float)
         n = self.sig.n
         if origin.shape != (n,) or normal.shape != (n,) or frame.shape != (n - 1, n):
             raise ValueError("patch shapes inconsistent with dimension")
@@ -284,14 +289,10 @@ class HyperplanePatch:
             raise ValueError("tangent frame is not eta-orthonormal")
         if np.max(np.abs(frame @ eta @ normal)) > 1e-12:
             raise ValueError("normal is not eta-orthogonal to the tangent frame")
-        if (hw <= 0).any() or len(self.grid) != n - 1 or any(g < 1 for g in self.grid):
-            raise ValueError("half widths must be positive, grid at least 1 per axis")
-        for name, val in (("origin", origin), ("tangent_frame", frame),
-                          ("normal", normal), ("half_widths", hw)):
+        for name, val in (("origin", origin), ("tangent_frame", frame), ("normal", normal)):
             val.flags.writeable = False
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "grid", tuple(int(g) for g in self.grid))
-        if self.rule is not None and self.rule.dim != n - 1:
+        if self.rule.dim != n - 1:
             raise ValueError("bad custom rule shapes")
 
     @classmethod
@@ -302,7 +303,8 @@ class HyperplanePatch:
         half_widths=None,
         grid=None,
     ) -> "HyperplanePatch":
-        """Constant-time slice x^0 = t with the spatial coordinate frame."""
+        """Constant-time slice x^0 = t with the spatial coordinate frame, on the
+        midpoint box rule (half widths 1 and 32 cells per axis by default)."""
         n = sig.n
         origin = np.zeros(n)
         origin[0] = t
@@ -314,29 +316,23 @@ class HyperplanePatch:
         grid = (32,) * (n - 1) if grid is None else tuple(np.atleast_1d(grid).astype(int))
         if len(grid) == 1:
             grid = grid * (n - 1)
-        return cls(origin, frame, normal, hw, grid, sig)
+        return cls(origin, frame, normal, sig, ProductRule.box(hw, grid))
 
     def with_rule(self, nodes: np.ndarray, weights: np.ndarray) -> "HyperplanePatch":
         return replace(self, rule=ProductRule.explicit(nodes, weights))
 
-    def tiled_rule(self) -> ProductRule:
-        """The custom rule, or the midpoint grid of ``half_widths`` and ``grid``."""
-        return self.rule if self.rule is not None else ProductRule.box(self.half_widths, self.grid)
-
     @property
-    def rule_nodes(self) -> Optional[np.ndarray]:
-        """The custom rule's whole node array, built on each read; None on the grid."""
-        return None if self.rule is None else self.rule.whole()[0]
+    def rule_nodes(self) -> np.ndarray:
+        """The rule's whole node array, built on each read."""
+        return self.rule.whole()[0]
 
     def nodes_weights(self):
         """Tangent-coordinate nodes and weights of the whole quadrature rule."""
-        return self.tiled_rule().whole()
+        return self.rule.whole()
 
-    def points(self, nodes=None) -> np.ndarray:
+    def points(self, nodes) -> np.ndarray:
         """origin + sum_k nodes[:, k] frame[k]: (m, n) points, component-major
         whatever the layout of ``nodes`` (see :func:`poincare._matvec`)."""
-        if nodes is None:
-            nodes, _ = self.nodes_weights()
         pts = _matvec(nodes, self.tangent_frame.T)
         pts += self.origin  # in place: a second (m, n) array raised peak RSS
         return pts
@@ -378,7 +374,7 @@ def _reduce_patch(func: Callable, patch: HyperplanePatch, factor: float, weighte
     result is bitwise the pairwise sum of the whole row, while memory stays
     bounded by the one tile in flight, rule included.
     """
-    rule = patch.tiled_rule()
+    rule = patch.rule
     sums, vals = [], None
     for lo in range(0, rule.size, TILE):
         nodes, weights = rule.tile(lo, lo + TILE)
@@ -395,7 +391,7 @@ def _reduce_patch(func: Callable, patch: HyperplanePatch, factor: float, weighte
 
 
 def integrate_form(omega, patch: HyperplanePatch) -> float:
-    """Midpoint (or custom-rule) integral of an (n-1)-form over the patch.
+    """Integral of an (n-1)-form over the patch on its rule.
 
     Deterministic pairwise summation; aborts on non-finite samples.
     """

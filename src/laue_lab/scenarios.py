@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,7 +90,7 @@ class ScenarioSpec:
             if abs(np.linalg.det(S)) < 1e-12:
                 raise ValueError("slice is degenerate in adapted coordinates")
             rule = rule.mapped(S, ginv.apply(np.zeros(n))[1:])
-        return replace(HyperplanePatch.time_slice(sig, half_widths=1.0, grid=(2,)), rule=rule)
+        return HyperplanePatch(np.zeros(n), np.eye(n)[1:], np.eye(n)[0], sig, rule)
 
 
 def _box(half_widths):

@@ -408,14 +408,27 @@ def test_divergence_volume_integral_needs_even_interval_count(n_t):
         divergence_volume_integral(static_compact_current(), p1, 0.0, 1.0, ETA, n_t=n_t)
 
 
-def test_conservation_rejects_a_custom_rule_patch():
-    # a custom rule has no box edge to probe, so a support verdict on it
-    # would pass whatever J does at the rule's boundary
+@pytest.mark.parametrize("rule", ["with_rule", "mapped"])
+@pytest.mark.parametrize("check", ["gauss_residual", "conservation_check"])
+def test_box_only_checks_reject_other_rules(check, rule, conserved_blob):
+    # an explicit or a mapped rule has no box faces or edge cells, so a
+    # boundary sum or a support verdict on it would read a boundary it lacks
     box = HyperplanePatch.time_slice(SIG, t=0.0, half_widths=1.0, grid=(16,))
-    custom = box.with_rule(*box.nodes_weights())
-    for pair in ((custom, box), (box, custom)):
+    other = {
+        "with_rule": lambda: box.with_rule(*box.nodes_weights()),
+        "mapped": lambda: build("gaussian_dust")[1].adapted_slice_patch(
+            standard_boost(1, 0.3), SIG, scale=0.25),
+    }[rule]()
+    calls = {
+        "gauss_residual": [lambda: gauss_residual(conserved_blob, make_spatial_bump(), other)],
+        "conservation_check": [
+            lambda: conservation_check(static_compact_current(), other, box, ETA),
+            lambda: conservation_check(static_compact_current(), box, other, ETA),
+        ],
+    }[check]
+    for call in calls:
         with pytest.raises(ValueError, match="default box rule"):
-            conservation_check(static_compact_current(), *pair, ETA)
+            call()
 
 
 def test_conservation_void_when_support_leaks():

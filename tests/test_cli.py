@@ -599,7 +599,7 @@ KEEP = {
     "laue_integrals": "perfbench/spans.py wraps it by attribute lookup",
     "spherical_rule": "perfbench/spans.py wraps it; whole-array oracle of the streamed rule",
     "map_rule_affine": "perfbench/spans.py wraps it; whole-array oracle of a mapped rule",
-    "rule_nodes": "perfbench/spans.py reads it in its node counter",
+    "rule_nodes": "perfbench/spans.py reads it in a node counter that adds nothing now (never None)",
     "hodge_comps": "perfbench/spans.py wraps it; oracle of the vector-dual test",
     "virial_check": "acceptance criterion 10 reads it",
     "alt": "test oracle of the wedge convention",

@@ -109,6 +109,18 @@ def test_exterior_derivative_convergence_rate():
     assert 2.5 < coarse / fine < 6.0
 
 
+def test_exterior_derivative_of_a_covector_valued_form_is_row_by_row(conserved_blob):
+    # one stencil pass over all value slots of calT (..., 4, 4) is bitwise
+    # the exterior derivative of each row (..., 4) taken on its own
+    calT = emt_to_form(conserved_blob, CURVED_METRIC)
+    pts = RNG.uniform(-1, 1, (40, 4))
+    batched = exterior_derivative(FormField(4, 3, calT), 1e-3)(pts)
+    assert batched.shape == (40, 4, 1) and np.max(np.abs(batched)) > 0.0
+    for a in range(4):
+        row = FormField(4, 3, lambda p: calT(p)[..., a, :])
+        assert np.array_equal(batched[..., a, :], exterior_derivative(row, 1e-3)(pts))
+
+
 # --- divergence ---
 
 

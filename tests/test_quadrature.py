@@ -39,6 +39,7 @@ from laue_lab.quadrature import (
     LAUE_NAMES,
     TILE,
     HyperplanePatch,
+    ProductRule,
     _flux_moments,
     _measure_factor,
     evaluate_tiled,
@@ -85,19 +86,34 @@ def test_time_slice_patch_valid():
     assert p.frame_phase() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "half_widths, grid",
+    [([1.0, 0.0, 1.0], (4, 4, 4)), ([1.0, -0.5, 1.0], (4, 4, 4)),
+     ([1.0] * 3, (4, 0, 4)), ([1.0] * 3, (4, 4))],
+    ids=["zero_half_width", "negative_half_width", "zero_cells", "grid_length"],
+)
+def test_box_rule_refuses_a_bad_box(half_widths, grid):
+    with pytest.raises(ValueError, match="half widths must be positive"):
+        ProductRule.box(half_widths, grid)
+    with pytest.raises(ValueError, match="half widths must be positive"):
+        HyperplanePatch.time_slice(SIG, half_widths=half_widths, grid=grid)
+
+
 def test_null_normal_rejected():
     null = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2)
     frame = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
                       [1.0, -1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="null"):
-        HyperplanePatch(np.zeros(4), frame, null, np.ones(3), (4, 4, 4), SIG)
+        HyperplanePatch(np.zeros(4), frame, null, SIG, ProductRule.box(np.ones(3), (4, 4, 4)))
 
 
 def test_non_orthogonal_frame_rejected():
     frame = np.eye(4)[1:].copy()
     frame[0, 0] = 0.3  # no longer orthogonal to e0
     with pytest.raises(ValueError):
-        HyperplanePatch(np.zeros(4), frame, np.eye(4)[0], np.ones(3), (4, 4, 4), SIG)
+        HyperplanePatch(
+            np.zeros(4), frame, np.eye(4)[0], SIG, ProductRule.box(np.ones(3), (4, 4, 4))
+        )
 
 
 # --- induced measure ---
@@ -122,7 +138,7 @@ def test_spacelike_normal_measure_sign():
         [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
     )
     patch = HyperplanePatch(
-        np.zeros(4), frame, np.eye(4)[1], np.ones(3), (4, 4, 4), SIG
+        np.zeros(4), frame, np.eye(4)[1], SIG, ProductRule.box(np.ones(3), (4, 4, 4))
     )
     oracle = -1.0 * insert(np.eye(4)[1], volume_form(4))
     assert _measure_factor(patch) == pytest.approx(_on_frame(oracle, patch))
@@ -709,7 +725,7 @@ def test_tiles_are_component_major(kind):
         "with_rule": lambda: HyperplanePatch.time_slice(SIG).with_rule(
             RNG.uniform(-1.0, 1.0, (m, 3)), np.full(m, 1.0 / m)),
     }[kind]()
-    assert patch.tiled_rule().tile(5, TILE + 5)[0].strides[0] == 8  # nodes are born so
+    assert patch.rule.tile(5, TILE + 5)[0].strides[0] == 8  # nodes are born so
     seen = []
 
     def f(points):
@@ -736,7 +752,7 @@ def test_samples_stay_within_one_tile():
     patch_moments(SymTensorField(T), patch)
     assert m > TILE and sum(sizes) == m and max(sizes) <= TILE
     sizes.clear()
-    pts = patch.points()
+    pts = patch.points(patch.nodes_weights()[0])
     assert np.array_equal(evaluate_tiled(T, pts), dust(pts))
     assert sum(sizes) == m and max(sizes) <= TILE
 
@@ -773,7 +789,7 @@ def nan_at_one_node(a=slice(None), b=slice(None)):
     field of a transformed patch, sampled at g^-1 of the image nodes, still
     sees it."""
     patch = HyperplanePatch.time_slice(SIG, half_widths=2.0, grid=(48,))
-    bad = patch.points()[100_000]
+    bad = patch.points(patch.nodes_weights()[0])[100_000]
     dust = make_static_dust(1.0, 0.7)
 
     def func(points):
