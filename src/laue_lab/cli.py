@@ -257,12 +257,10 @@ ETA = MetricField.minkowski(4)
 
 def _curved_metric(points):
     points = np.asarray(points, float)
-    out = np.zeros(points.shape[:-1] + (4, 4))
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = -((1.0 + 0.1 * np.sin(points[..., 1])) ** 2)
-    out[..., 2, 2] = -1.0
-    out[..., 3, 3] = -1.0
-    return out
+    out = np.zeros((4, 4) + points.shape[:-1])  # component-major, like the scenario closures
+    out[0, 0], out[2, 2], out[3, 3] = 1.0, -1.0, -1.0
+    out[1, 1] = -((1.0 + 0.1 * np.sin(points[..., 1])) ** 2)
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 CURVED_METRIC = MetricField(SIG, _curved_metric, flat=False)  # g_11 = -(1 + 0.1 sin x1)^2

@@ -196,15 +196,27 @@ def _shift(points, direction, h):
     return out
 
 
-def _central(f, points, d: int, h: float):
-    """The one central-difference stencil (f(x + h e_d) - f(x - h e_d)) / 2h."""
-    return (f(_shift(points, d, h)) - f(_shift(points, d, -h))) / (2 * h)
+def _central(f, points, d: int, h: float, out=None):
+    """The one stencil (f(x + h e_d) - f(x - h e_d)) / 2h, into ``out`` or ``out(f(x + h e_d))``."""
+    plus = f(_shift(points, d, h))
+    out = np.subtract(plus, f(_shift(points, d, -h)), out=out(plus) if callable(out) else out)
+    out /= 2 * h
+    return out
 
 
 def _fd_stack(f, points, h: float, axis: int):
-    """:func:`_central` along every chart axis d, stacked at ``axis``."""
-    n = points.shape[-1]
-    return np.stack([_central(f, points, d, h) for d in range(n)], axis=axis)
+    """:func:`_central` along every chart axis d, written into row d of one
+    C-contiguous block with d at ``axis``, as np.stack lays out C-order rows."""
+    n, rows = points.shape[-1], []
+
+    def block(sample):  # made at the first forward sample, whose shape it takes
+        k = axis % (sample.ndim + 1)
+        rows.append(np.moveaxis(np.empty(sample.shape[:k] + (n,) + sample.shape[k:]), k, 0))
+        return rows[0][0, ...]
+
+    for d in range(n):
+        _central(f, points, d, h, out=rows[0][d, ...] if rows else block)
+    return np.moveaxis(rows[0], 0, axis)
 
 
 def exterior_derivative(omega: FormField, h: float = DEFAULT_H) -> FormField:
@@ -219,14 +231,14 @@ def exterior_derivative(omega: FormField, h: float = DEFAULT_H) -> FormField:
     for out_rank, idx in enumerate(multi_indices(n, p + 1)):
         for k, axis in enumerate(idx):
             rest = idx[:k] + idx[k + 1 :]
-            table.append((out_rank, axis, rank_p[rest], (-1.0) ** k))
+            table.append((out_rank, axis, rank_p[rest], np.subtract if k % 2 else np.add))
 
     def func(points):
         points = np.asarray(points, float)
         partials = _fd_stack(omega, points, h, 0)
         out = np.zeros(partials.shape[1:-1] + (math.comb(n, p + 1),))
-        for out_rank, axis, in_rank, sign in table:
-            out[..., out_rank] += sign * partials[axis][..., in_rank]
+        for out_rank, axis, in_rank, op in table:  # x - y is x + (-1) y exactly
+            op(out[..., out_rank], partials[axis][..., in_rank], out=out[..., out_rank])
         return out
 
     return FormField(n, p + 1, func)
@@ -387,7 +399,7 @@ def boost_emt_analytic(T: SymTensorField, beta: float) -> SymTensorField:
         points = np.asarray(points, float)
         if points.shape[-1] != 4:
             raise ValueError("analytic boost law is four-dimensional")
-        under = points.copy()
+        under = points.copy(order="K")  # in the caller's layout, as _shift copies
         under[..., 0] = gamma * (points[..., 0] - beta * points[..., 1])
         under[..., 1] = gamma * (points[..., 1] - beta * points[..., 0])
         Tv = T(under)

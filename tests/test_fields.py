@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from laue_lab.cli import CURVED_METRIC, seeded_elements
+from laue_lab import fields
+from laue_lab.cli import CURVED_METRIC, LAM, PHI, ROTATION_12, TIME_TRANSLATION, seeded_elements
 from laue_lab.exterior import Signature, minor_det, multi_indices
 from laue_lab.fields import (
     FormField,
@@ -74,6 +75,57 @@ def test_central_keeps_component_shape(field, comps):
     got = _central(field, pts, 1, 1e-3)
     assert got.shape == (3, 7) + comps
     assert np.all(np.isfinite(got))
+
+
+@pytest.fixture
+def oracle_fd_stack(monkeypatch):
+    # every _fd_stack call is checked against the np.stack of its n central
+    # differences: bitwise the same bytes, and C-contiguous, the layout
+    # np.stack gives C-order rows, so the einsums that read it see fixed strides
+    axes = []
+    written = fields._fd_stack
+
+    def checked(f, points, h, axis):
+        got = written(f, points, h, axis)
+        want = np.stack([_central(f, points, d, h) for d in range(points.shape[-1])], axis)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        axes.append(axis)
+        return got
+
+    monkeypatch.setattr(fields, "_fd_stack", checked)
+    return axes
+
+
+def _fd_points(layout):
+    # a component-major tile, node-major (C-order) points or a single point
+    nodes = np.random.default_rng(8).uniform(-1.5, 1.5, (37, 4))
+    return {"tile": np.ascontiguousarray(nodes.T).T, "rows": nodes, "point": nodes[0]}[layout]
+
+
+@pytest.mark.parametrize("layout", ["tile", "rows", "point"])
+@pytest.mark.parametrize(
+    "call, axes",
+    [
+        (lambda pts: PHI.gradient(pts), {-1}),
+        (lambda pts: exterior_derivative(LAM)(pts), {0}),
+        (lambda pts: lie_derivative(CURVED_METRIC, ROTATION_12)(pts), {-3, -1}),
+        (lambda pts: christoffels(CURVED_METRIC)(pts), {-3}),
+        (lambda pts: lie_derivative(lie_derivative(LAM, ROTATION_12), TIME_TRANSLATION)(pts),
+         {0}),
+    ],
+    ids=["gradient", "exterior_derivative", "lie_metric", "christoffels", "nested_lie_form"],
+)
+def test_fd_stack_is_bitwise_the_stacked_stencil(oracle_fd_stack, call, axes, layout):
+    assert np.all(np.isfinite(call(_fd_points(layout))))
+    assert set(oracle_fd_stack) == axes
+
+
+def test_fd_stack_refuses_a_step_that_does_not_move():
+    pts = _fd_points("tile")
+    pts[3, 2] = 1e20  # 1e20 + 1e-3 == 1e20
+    with pytest.raises(FloatingPointError, match="does not move coordinate 2"):
+        fields._fd_stack(PHI, pts, 1e-3, -1)
 
 
 # --- exterior derivative ---

@@ -22,6 +22,7 @@ from laue_lab.fields import (
     VectorField,
     _shift,
     active_transform,
+    boost_emt_analytic,
 )
 from laue_lab.poincare import (
     _matvec,
@@ -733,6 +734,10 @@ def test_tiles_are_component_major(kind):
         return np.ones(len(points))
 
     integrate_scalar_density(f, patch)
+    assert len(seen) > 1 and all(pts.strides[0] == 8 for pts in seen)
+    seen.clear()  # and the analytic boost hands its source the same layout
+    source = SymTensorField(lambda pts: f(pts)[..., None, None] * np.eye(4))
+    patch_moments(boost_emt_analytic(source, 0.3), patch)
     assert len(seen) > 1 and all(pts.strides[0] == 8 for pts in seen)
     for pts in (seen[0], np.ascontiguousarray(seen[0])):  # either layout in
         assert _matvec(pts, g.A).strides[0] == 8
