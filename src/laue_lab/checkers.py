@@ -34,12 +34,12 @@ from .fields import (
 )
 from .poincare import PoincareElement, coad, is_isometry, standard_boost
 from .quadrature import (
+    TILE,
     HyperplanePatch,
     ProductRule,
     _measure_factor,
     _reduce_patch,
     _simpson,
-    evaluate_tiled,
     flux_charge,
     four_momentum,
     integrate_form,
@@ -245,7 +245,6 @@ def gauss_residual(
     """
     if patch.rule.extent is None:
         raise ValueError("the boundary quadrature needs the default box rule")
-    half_widths, grid = patch.rule.extent
     n_t = patch.sig.n - 1
 
     def integral(rule_patch, factor, integrand):  # rows mu; non-finite samples raise
@@ -255,15 +254,25 @@ def gauss_residual(
         "...ak,...k->...a", T(p)[..., :, 1:], phi.gradient(p, h)[..., 1:]))
     rhs = 0.0
     for axis in range(n_t):
-        others = [i for i in range(n_t) if i != axis]
-        face_nodes, face_weights = ProductRule.box(
-            half_widths[others], [grid[i] for i in others]
-        ).whole()
         for sign in (+1.0, -1.0):
-            fn = np.insert(face_nodes, axis, sign * half_widths[axis], axis=1)
-            face = patch.with_rule(fn, face_weights)
+            face = replace(patch, rule=_face_rule(patch.rule.extent, axis, sign))
             rhs = rhs + integral(face, sign, lambda p: T(p)[..., :, 1 + axis] * phi(p)[..., None])
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def _face_rule(extent, axis: int, sign: float) -> ProductRule:
+    """The midpoint rule of the face x^axis = sign * half width of the box
+    ``extent``, streamed as the box is: each tile of the face mesh with
+    coordinate ``axis`` inserted."""
+    half_widths, grid = extent
+    others = [i for i in range(len(grid)) if i != axis]
+    mesh = ProductRule.box(half_widths[others], [grid[i] for i in others])
+
+    def rows(i0, i1):
+        nodes, weights = mesh.rows(i0, i1)
+        return np.insert(nodes, axis, sign * half_widths[axis], axis=1), weights
+
+    return replace(mesh, dim=len(grid), rows=rows, extent=None)
 
 
 @dataclass
@@ -445,21 +454,23 @@ def conservation_check(
 
     The check is void (``support_ok`` False) when the current reaches the
     lateral boundary, where the connecting-tube flux would contribute.  Both
-    patches need the default box rule, whose edge cells that probe reads.
+    patches need the default box rule, whose edge cells that probe reads one
+    tile at a time.
     """
     if patch1.rule.extent is None or patch2.rule.extent is None:
         raise ValueError("the support probe needs the default box rule")
     support_ok = True
     for patch in (patch1, patch2):
-        nodes, _ = patch.nodes_weights()
-        half_widths, grid = patch.rule.extent
-        edge = np.max(np.abs(nodes) / half_widths, axis=1) > 1.0 - 2.0 / min(grid)
-        if edge.any():
-            pts = patch.points(nodes[edge])
-            vals = evaluate_tiled(J, pts)
-            _require_finite(vals, pts)
-            if float(np.max(np.abs(vals))) > _SUPPORT_TOL:
-                support_ok = False
+        rule = patch.rule
+        half_widths, grid = rule.extent
+        for lo in range(0, rule.size, TILE):
+            nodes, _ = rule.tile(lo, lo + TILE)
+            edge = np.max(np.abs(nodes) / half_widths, axis=1) > 1.0 - 2.0 / min(grid)
+            if edge.any():
+                pts = patch.points(nodes[edge])
+                vals = J(pts)
+                _require_finite(vals, pts)
+                support_ok = support_ok and float(np.max(np.abs(vals))) <= _SUPPORT_TOL
     q1 = flux_charge(J, patch1, g)
     q2 = flux_charge(J, patch2, g)
     return ConservationResult(q1, q2, support_ok)

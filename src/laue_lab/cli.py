@@ -270,7 +270,7 @@ def _lam(points):
     points = np.asarray(points, float)
     x = points[..., 1:]
     b = np.exp(-_spatial_r2(x) / 2.0)
-    out = np.zeros(points.shape[:-1] + (6,))
+    out = np.zeros(points.shape[:-1] + (6,), order="F")  # component-major, like a tile
     out[..., 5] = b  # purely spatial slot
     out[..., 2] = 0.7 * b  # slot with a time leg: the derived current gets spatial components
     return out
@@ -332,6 +332,13 @@ def _sourced_current(points):
     return out
 
 
+def _static_charge(points):
+    points = np.asarray(points, float)
+    out = np.zeros(points.shape[:-1] + (4,))
+    out[..., 0] = np.exp(-_spatial_r2(points[..., 1:]))
+    return out
+
+
 def _generic_current(points):
     points = np.asarray(points, float)
     b = np.exp(-_spatial_r2(points[..., 1:]) / 2.0)
@@ -340,6 +347,7 @@ def _generic_current(points):
 
 CONSERVED_CURRENT = VectorField(_conserved_current)
 SOURCED_CURRENT = VectorField(_sourced_current)  # div J = 0.5 cos t exp(-r^2)
+STATIC_CHARGE = VectorField(_static_charge)  # rho = exp(-r^2), charge pi^(3/2)
 # four non-zero components and a non-zero charge: every slot of i_J mu counts
 GENERIC_CURRENT = VectorField(_generic_current)
 
@@ -599,6 +607,11 @@ def run_conservation_suite(h: float = 1e-3):
     # the partial-integration step of Laue's proof for the conserved blob
     gauss = gauss_residual(CONSERVED_BLOB, PHI, time_slice(0.0, 48), h)
     records.append(IntegralRecord.gated("partial_integration_residual", gauss, 1e-8, "N=48", h=h))
+    # a charge against its closed form: the rows above compare two routes or
+    # two slices, so a fault that scales every charge leaves them at roundoff
+    charge = flux_charge(STATIC_CHARGE, time_slice(0.0, 48), ETA)
+    error = abs(charge - math.pi**1.5) / math.pi**1.5
+    records.append(IntegralRecord.gated("static_charge_error", error, 1e-12, "N=48"))
     return records
 
 

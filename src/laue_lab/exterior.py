@@ -321,7 +321,20 @@ def volume_form(n: int) -> PForm:
 # metric inverse has shape (..., n, n) or (n, n); ``eps_top`` is the single
 # component of the metric volume form in the working chart (sqrt|det g| for
 # an oriented coordinate chart, 1 for an orthonormal one).
+#
+# Form-valued samples share the tile layout: component-major, node axes
+# fastest, so each component is one contiguous node row.  insert_comps and
+# wedge_comps write theirs so, and add or subtract each term into its row
+# in place (:func:`_accumulate`).
 # ---------------------------------------------------------------------------
+
+
+def _accumulate(out: np.ndarray, rank: int, sign: int, term) -> None:
+    """out[..., rank] += sign * term in place, as one add or subtract:
+    (-a) b = -(a b) and x + (-y) = x - y exactly, so the bytes are those of
+    the signed sum."""
+    row = out[..., rank]
+    (np.add if sign > 0 else np.subtract)(row, term, out=row)
 
 
 def minor_det(m: np.ndarray, rows: tuple, cols: tuple, _memo=None) -> np.ndarray:
@@ -380,10 +393,9 @@ def insert_comps(v: np.ndarray, comps: np.ndarray, n: int, p: int) -> np.ndarray
         raise ValueError("cannot insert into a degree-0 form")
     v = np.asarray(v, dtype=float)
     comps = np.asarray(comps, dtype=float)
-    out_shape = comps.shape[:-1] + (math.comb(n, p - 1),)
-    out = np.zeros(out_shape)
+    out = np.zeros(comps.shape[:-1] + (math.comb(n, p - 1),), order="F")
     for out_rank, axis, in_rank, sign in _insert_table(n, p):
-        out[..., out_rank] += sign * v[..., axis] * comps[..., in_rank]
+        _accumulate(out, out_rank, sign, v[..., axis] * comps[..., in_rank])
     return out
 
 
@@ -396,7 +408,7 @@ def wedge_comps(a, pa: int, b, pb: int, n: int) -> np.ndarray:
     out_shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (
         math.comb(n, pa + pb),
     )
-    out = np.zeros(out_shape)
+    out = np.zeros(out_shape, order="F")
     for out_rank, a_rank, b_rank, sign in _wedge_table(n, pa, pb):
-        out[..., out_rank] += sign * a[..., a_rank] * b[..., b_rank]
+        _accumulate(out, out_rank, sign, a[..., a_rank] * b[..., b_rank])
     return out

@@ -17,6 +17,8 @@ import numpy as np
 
 from .exterior import (
     Signature,
+    _accumulate,
+    _insert_table,
     insert_comps,
     minor_det,
     multi_index_rank,
@@ -206,12 +208,12 @@ def _central(f, points, d: int, h: float, out=None):
 
 def _fd_stack(f, points, h: float, axis: int):
     """:func:`_central` along every chart axis d, written into row d of one
-    C-contiguous block with d at ``axis``, as np.stack lays out C-order rows."""
+    component-major block with d at ``axis``: the node axes run fastest, so
+    each (direction, component) slot is one contiguous node row."""
     n, rows = points.shape[-1], []
 
     def block(sample):  # made at the first forward sample, whose shape it takes
-        k = axis % (sample.ndim + 1)
-        rows.append(np.moveaxis(np.empty(sample.shape[:k] + (n,) + sample.shape[k:]), k, 0))
+        rows.append(np.moveaxis(np.empty(sample.shape + (n,), order="F"), -1, 0))
         return rows[0][0, ...]
 
     for d in range(n):
@@ -231,14 +233,14 @@ def exterior_derivative(omega: FormField, h: float = DEFAULT_H) -> FormField:
     for out_rank, idx in enumerate(multi_indices(n, p + 1)):
         for k, axis in enumerate(idx):
             rest = idx[:k] + idx[k + 1 :]
-            table.append((out_rank, axis, rank_p[rest], np.subtract if k % 2 else np.add))
+            table.append((out_rank, axis, rank_p[rest], (-1) ** k))
 
     def func(points):
         points = np.asarray(points, float)
         partials = _fd_stack(omega, points, h, 0)
-        out = np.zeros(partials.shape[1:-1] + (math.comb(n, p + 1),))
-        for out_rank, axis, in_rank, op in table:  # x - y is x + (-1) y exactly
-            op(out[..., out_rank], partials[axis][..., in_rank], out=out[..., out_rank])
+        out = np.zeros(partials.shape[1:-1] + (math.comb(n, p + 1),), order="F")
+        for out_rank, axis, in_rank, sign in table:
+            _accumulate(out, out_rank, sign, partials[axis][..., in_rank])
         return out
 
     return FormField(n, p + 1, func)
@@ -428,12 +430,15 @@ def _volume_insert(v, eps):
 
     mu_g = sqrt|det g| theta^0 ^ ... ^ theta^{n-1}, so the metric enters
     only through its volume factor ``eps`` (``g.eps_top(points)``) and is
-    never inverted.
+    never inverted.  Each slot is 0 + v^c or 0 - v^c, scaled by eps in place.
     """
     n = v.shape[-1]
-    out = insert_comps(v, np.ones(v.shape[:-1] + (1,)), n, n)
+    out = np.zeros(v.shape, order="F")  # C(n, n-1) = n slots
+    for out_rank, axis, _, sign in _insert_table(n, n):
+        _accumulate(out, out_rank, sign, v[..., axis])
     eps = np.asarray(eps, float)
-    return out * eps.reshape(eps.shape + (1,) * (out.ndim - eps.ndim))
+    out *= eps.reshape(eps.shape + (1,) * (out.ndim - eps.ndim))
+    return out
 
 
 def emt_to_form(T: SymTensorField, g: MetricField) -> CoFormField:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from laue_lab import cli, quadrature
+from laue_lab import cli, fields, quadrature
 from laue_lab.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -59,6 +59,7 @@ def test_conservation_suite(capsys):
     assert "source_volume_match" in out
     assert "charge_route_spread" in out
     assert "partial_integration_residual" in out
+    assert "static_charge_error" in out
     assert ",fail" not in out
 
 
@@ -600,6 +601,8 @@ KEEP = {
     "spherical_rule": "perfbench/spans.py wraps it; whole-array oracle of the streamed rule",
     "map_rule_affine": "perfbench/spans.py wraps it; whole-array oracle of a mapped rule",
     "rule_nodes": "perfbench/spans.py reads it in a node counter that adds nothing now (never None)",
+    "nodes_weights": "perfbench/spans.py wraps it by attribute lookup; tests read whole rules",
+    "with_rule": "tests build the explicit-rule patches that the box-only checks refuse",
     "hodge_comps": "perfbench/spans.py wraps it; oracle of the vector-dual test",
     "virial_check": "acceptance criterion 10 reads it",
     "alt": "test oracle of the wedge convention",
@@ -699,6 +702,37 @@ def test_geometric_and_conservation_never_invert_or_det_per_node(monkeypatch):
     monkeypatch.setattr(np.linalg, "det", no_stacked_det)
     for records in (run_geometric_suite(7), run_conservation_suite()):
         assert all(r.verdict != "fail" for r in records)
+
+
+@pytest.mark.parametrize(
+    "module, name, fault, alone",
+    [
+        (fields, "_volume_insert", lambda out: out * 1.01, False),
+        (fields, "_volume_insert", lambda out: -out, False),
+        (quadrature, "_reduce_patch", lambda out: out * 1.01, True),
+    ],
+    ids=["dual_scaled", "dual_negated", "every_charge_scaled"],
+)
+def test_a_charge_fault_fails_verify_conservation(monkeypatch, capsys, module, name, fault, alone):
+    # the other rows compare two slices, two routes or two integrals, so a
+    # fault that scales every integral alike leaves them at roundoff; the
+    # static charge against pi^(3/2) fails under each fault
+    clean = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: fault(clean(*args)))
+    code, out, _ = run(capsys, "verify", "conservation", "--format", "json")
+    failed = [row["quantity"] for row in json.loads(out) if row["verdict"] == "fail"]
+    assert code == EXIT_VERDICT and "static_charge_error" in failed
+    assert (failed == ["static_charge_error"]) == alone
+
+
+def test_verify_conservation_never_builds_a_whole_rule(monkeypatch, capsys):
+    # the support probe and the Gauss faces read their rules one tile at a time
+    def whole(rule):
+        raise AssertionError(f"whole rule of {rule.size} nodes built")
+
+    monkeypatch.setattr(quadrature.ProductRule, "whole", whole)
+    code, _, err = run(capsys, "verify", "conservation")
+    assert (code, err) == (EXIT_OK, "")
 
 
 def test_determinism_identical_bytes(capsys):

@@ -5,7 +5,15 @@ import pytest
 
 from laue_lab import fields
 from laue_lab.cli import CURVED_METRIC, LAM, PHI, ROTATION_12, TIME_TRANSLATION, seeded_elements
-from laue_lab.exterior import Signature, minor_det, multi_indices
+from laue_lab.exterior import (
+    Signature,
+    _insert_table,
+    _wedge_table,
+    insert_comps,
+    minor_det,
+    multi_indices,
+    wedge_comps,
+)
 from laue_lab.fields import (
     FormField,
     MetricField,
@@ -80,15 +88,18 @@ def test_central_keeps_component_shape(field, comps):
 @pytest.fixture
 def oracle_fd_stack(monkeypatch):
     # every _fd_stack call is checked against the np.stack of its n central
-    # differences: bitwise the same bytes, and C-contiguous, the layout
-    # np.stack gives C-order rows, so the einsums that read it see fixed strides
+    # differences: bitwise the same bytes, in the tile layout: on a tile or
+    # rows of points the node axis runs fastest, so each (direction,
+    # component) slot is one contiguous node row, whatever the points' layout
     axes = []
     written = fields._fd_stack
 
     def checked(f, points, h, axis):
         got = written(f, points, h, axis)
         want = np.stack([_central(f, points, d, h) for d in range(points.shape[-1])], axis)
-        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.shape == want.shape
+        if points.ndim > 1:
+            assert got.strides[1 if axis == 0 else 0] == got.itemsize
         assert got.tobytes() == want.tobytes()
         axes.append(axis)
         return got
@@ -126,6 +137,59 @@ def test_fd_stack_refuses_a_step_that_does_not_move():
     pts[3, 2] = 1e20  # 1e20 + 1e-3 == 1e20
     with pytest.raises(FloatingPointError, match="does not move coordinate 2"):
         fields._fd_stack(PHI, pts, 1e-3, -1)
+
+
+def _signed_sum(shape, table, a, b):
+    # the node-major oracle: a C-order block and out[..., r] += sign * a * b
+    out = np.zeros(shape)
+    for out_rank, a_rank, b_rank, sign in table:
+        out[..., out_rank] += sign * a[..., a_rank] * b[..., b_rank]
+    return out
+
+
+def _node_major_d(omega, points, h=1e-3):
+    n, p = omega.n, omega.p
+    rank_p = {idx: k for k, idx in enumerate(multi_indices(n, p))}
+    partials = [np.ascontiguousarray(_central(omega, points, d, h)) for d in range(n)]
+    out = np.zeros(partials[0].shape[:-1] + (math.comb(n, p + 1),))
+    for out_rank, idx in enumerate(multi_indices(n, p + 1)):
+        for k, axis in enumerate(idx):
+            out[..., out_rank] += (-1) ** k * partials[axis][..., rank_p[idx[:k] + idx[k + 1:]]]
+    return out
+
+
+@pytest.mark.parametrize("layout", ["tile", "rows", "point"])
+def test_form_kernels_are_component_major(layout):
+    # form-valued samples come out in the tile layout, node axes fastest, with
+    # the bytes of the node-major kernels on C-order copies of their inputs
+    pts = _fd_points(layout)
+    rng = np.random.default_rng(9)
+    lead = pts.shape[:-1]
+
+    def sample(*comps):  # component-major on a tile, C order otherwise
+        x = rng.standard_normal(lead + comps)
+        return np.asfortranarray(x) if layout == "tile" else x
+
+    v, one, two, three = sample(4), sample(4), sample(6), sample(4)
+    mixed, eps = sample(4, 4), np.abs(rng.standard_normal(lead)) + 0.5
+    c = np.ascontiguousarray
+    ones = np.ones(lead + (1,))
+    cases = [
+        (insert_comps(v, three, 4, 3),
+         _signed_sum(lead + (6,), _insert_table(4, 3), c(v), c(three))),
+        (wedge_comps(one, 1, two, 2, 4),
+         _signed_sum(lead + (4,), _wedge_table(4, 1, 2), c(one), c(two))),
+        (exterior_derivative(LAM)(pts), _node_major_d(LAM, c(pts))),
+        (fields._volume_insert(v, eps),
+         _signed_sum(lead + (4,), _insert_table(4, 4), c(v), ones) * eps[..., None]),
+        (fields._volume_insert(mixed, eps),
+         _signed_sum(lead + (4, 4), _insert_table(4, 4), c(mixed), ones[..., None, :])
+         * eps[..., None, None]),
+        (fields._volume_insert(v, 1.0), _signed_sum(lead + (4,), _insert_table(4, 4), c(v), ones)),
+    ]
+    for got, want in cases:
+        assert got.flags.f_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # --- exterior derivative ---
