@@ -43,7 +43,7 @@ from .quadrature import (
     patch_moments,
     transform_patch,
 )
-from .scenarios import build, coulomb_pair_energy, virial_check
+from .scenarios import build, virial_check
 from .checkers import (
     classical_laue_report,
     conservation_check,

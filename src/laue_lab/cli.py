@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import ctypes
 import io
 import json
 import math
@@ -263,7 +264,7 @@ def _curved_metric(points):
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-CURVED_METRIC = MetricField(SIG, _curved_metric, flat=False)  # g_11 = -(1 + 0.1 sin x1)^2
+CURVED_METRIC = MetricField(SIG, _curved_metric)  # g_11 = -(1 + 0.1 sin x1)^2
 
 
 def _lam(points):
@@ -588,7 +589,7 @@ def run_conservation_suite(h: float = 1e-3):
     # a current reaching the lateral boundary voids the comparison
     records = [
         IntegralRecord.gated("charge_difference", out.difference, 1e-8, "N=48",
-                             passed=out.difference < 1e-8 and out.support_ok)
+                             passed=out.difference < 1e-8 and out.edge_current <= 1e-10)
     ]
     t0, t1 = 0.0, 0.9
     p1 = time_slice(t0, 32)
@@ -615,9 +616,17 @@ def run_conservation_suite(h: float = 1e-3):
     return records
 
 
-def _classical_records(rep, grid: str) -> list:
+def _classical_verdict(rep, tol: float):
+    """(law, ok): the largest relative residual of the vector law over the
+    velocities, and whether it and the stress integrals relative to P0 both
+    lie under ``tol``, the two sides of Laue's equivalence."""
+    law = max(e.resid_four_vector for e in rep.entries)
+    stress = max(abs(v) for v in rep.stress.values()) / abs(rep.P0)
+    return law, law < tol and stress < tol
+
+
+def _classical_records(rep, grid: str, tol: float) -> list:
     """The ``laue classical`` rows of one report, each labelled ``grid``."""
-    tol = rep.rel_tol
     rows = [IntegralRecord(f"P{a}", float(rep.P[a]), grid) for a in range(4)]
     for name, value in rep.stress.items():
         rows.append(IntegralRecord.gated(f"stress_{name}", float(value), tol * abs(rep.P0), grid))
@@ -632,8 +641,8 @@ def _classical_records(rep, grid: str) -> list:
             rows += [IntegralRecord(f"P{a}_{label}[{tag}]", float(P[a]), grid) for a in range(4)]
         rows.append(IntegralRecord.gated(
             f"four_vector_residual[{tag}]", e.resid_four_vector, tol, grid))
-    rows.append(IntegralRecord.gated(
-        "verdict_four_vector", float(rep.four_vector), tol, grid, passed=rep.four_vector))
+    _, ok = _classical_verdict(rep, tol)
+    rows.append(IntegralRecord.gated("verdict_four_vector", float(ok), tol, grid, passed=ok))
     return rows
 
 
@@ -645,14 +654,15 @@ def run_laue_command(args, cfg) -> list:
     scale = args.grid_n / 48.0
     if args.check == "classical":
         label = f"{spec.name}:{spec.kind}:scale="
-        rep = classical_laue_report(T, spec, args.beta, SIG, rel_tol=args.tol, scale=scale)
-        records = _classical_records(rep, f"{label}{scale:g}")
+        rep = classical_laue_report(T, spec, args.beta, SIG, scale=scale)
+        records = _classical_records(rep, f"{label}{scale:g}", args.tol)
         if args.strict:
-            fine = classical_laue_report(T, spec, args.beta, SIG, rel_tol=args.tol, scale=2 * scale)
+            fine = classical_laue_report(T, spec, args.beta, SIG, scale=2 * scale)
+            law, ok = _classical_verdict(fine, args.tol)
             records.append(
-                IntegralRecord.gated("strict_recheck_four_vector", fine.four_vector_max_rel,
-                                     args.tol, f"{label}{2 * scale:g}",
-                                     passed=fine.four_vector == rep.four_vector)
+                IntegralRecord.gated("strict_recheck_four_vector", law, args.tol,
+                                     f"{label}{2 * scale:g}",
+                                     passed=ok == _classical_verdict(rep, args.tol)[1])
             )
         return records
     g_list = seeded_elements(args.seed)
@@ -722,7 +732,21 @@ CHECKS = {
 }
 
 
+def _heap_policy() -> None:
+    """Fix glibc's heap thresholds for this process (mmap above 32 MiB, trim
+    above 64 MiB), so the temporaries a tile frees are reused by the next
+    tile instead of being trimmed and faulted in again, whatever order a
+    pass frees them in.  A no-op where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _heap_policy()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

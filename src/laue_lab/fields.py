@@ -10,7 +10,7 @@ check can report a refinement ratio by re-running at h/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,10 +19,9 @@ from .exterior import (
     Signature,
     _accumulate,
     _insert_table,
+    _wedge_table,
     insert_comps,
     minor_det,
-    multi_index_rank,
-    multi_indices,
     wedge_comps,
 )
 from .poincare import PoincareElement, _matvec, invert
@@ -134,12 +133,13 @@ class Cov2Field:
 class MetricField:
     """Pointwise nondegenerate symmetric (0,2) field with constant signature.
 
-    ``flat`` asserts the field is ``sig.matrix``; it is set when no ``func`` is.
+    ``flat`` says the field is ``sig.matrix``; it is derived, set exactly when
+    no ``func`` is given.
     """
 
     sig: Signature
     func: Optional[Callable] = None
-    flat: bool = False
+    flat: bool = field(init=False, default=False)
 
     def __post_init__(self):
         if self.func is None:
@@ -228,12 +228,7 @@ def exterior_derivative(omega: FormField, h: float = DEFAULT_H) -> FormField:
     n, p = omega.n, omega.p
     if p >= n:
         return FormField(n, n, lambda pts: np.zeros(np.asarray(pts).shape[:-1] + (1,)))
-    rank_p = multi_index_rank(n, p)
-    table = []
-    for out_rank, idx in enumerate(multi_indices(n, p + 1)):
-        for k, axis in enumerate(idx):
-            rest = idx[:k] + idx[k + 1 :]
-            table.append((out_rank, axis, rank_p[rest], (-1) ** k))
+    table = _wedge_table(n, 1, p)  # d omega = sum_c dx^c ^ d_c omega
 
     def func(points):
         points = np.asarray(points, float)

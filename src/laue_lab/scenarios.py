@@ -33,7 +33,6 @@ __all__ = [
     "SCENARIO_NAMES",
     "build",
     "scenario_params",
-    "coulomb_pair_energy",
     "virial_check",
 ]
 
@@ -291,19 +290,6 @@ def _weak_ep(M0: np.ndarray, patch: HyperplanePatch):
     return combo, float(abs(combo - projected))
 
 
-def coulomb_pair_energy(charges) -> float:
-    """Regularised interaction energy sum_{a<b} q_a q_b / (4 pi |x_a - x_b|)."""
-    charges = [(float(q), np.asarray(x, float)) for q, x in charges]
-    total = 0.0
-    for i in range(len(charges)):
-        for j in range(i + 1, len(charges)):
-            d = np.linalg.norm(charges[i][1] - charges[j][1])
-            if d == 0.0:
-                raise ValueError("coincident charges have no finite pair energy")
-            total += charges[i][0] * charges[j][0] / (4.0 * math.pi * d)
-    return total
-
-
 def virial_check(
     q1: float, q2: float, d: float, m1: float = 1.0, m2: float = 1.0
 ) -> float:
@@ -324,5 +310,5 @@ def virial_check(
     r1 = m2 * d / (m1 + m2)
     r2 = m1 * d / (m1 + m2)
     e_kin = 0.5 * omega2 * (m1 * r1**2 + m2 * r2**2)
-    U = coulomb_pair_energy([(q1, np.zeros(3)), (q2, np.array([d, 0.0, 0.0]))])
+    U = q1 * q2 / (4.0 * math.pi * d)
     return abs(2.0 * e_kin + U) / abs(U)

@@ -24,7 +24,7 @@ def make_tilted_metric():
         out[..., 3, 3] = -1.0
         return out
 
-    return MetricField(Signature.mostly_minus(4), func, flat=False)
+    return MetricField(Signature.mostly_minus(4), func)
 
 
 def make_spatial_bump(width=2.0, amp=1.0):

@@ -195,6 +195,21 @@ def test_form_kernels_are_component_major(layout):
 # --- exterior derivative ---
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_exterior_derivative_table_is_the_wedge_table(n):
+    # d omega = sum_c dx^c ^ d_c omega: the 1-form slot of the wedge table is
+    # the axis of the partial c, and its shuffle sign is (-1)^k for c at
+    # position k of the output multi-index
+    for p in range(n):
+        rank_p = {idx: k for k, idx in enumerate(multi_indices(n, p))}
+        table = [
+            (out_rank, axis, rank_p[idx[:k] + idx[k + 1:]], (-1) ** k)
+            for out_rank, idx in enumerate(multi_indices(n, p + 1))
+            for k, axis in enumerate(idx)
+        ]
+        assert list(_wedge_table(n, 1, p)) == table
+
+
 def test_exterior_derivative_of_exact_form_is_small():
     # d(d phi) = O(h^2)
     phi = make_spatial_bump()
@@ -754,6 +769,8 @@ def test_custom_metric_is_not_flat_by_default(sample_points4):
     curved = CURVED_METRIC
     g = MetricField(SIG, curved.func)
     assert MetricField(SIG).flat and not g.flat
+    with pytest.raises(TypeError):  # derived from func, never asserted by a caller
+        MetricField(SIG, curved.func, flat=True)
     gamma = christoffels(g)(sample_points4)
     assert np.any(gamma != 0.0)
     assert np.array_equal(gamma, christoffels(curved)(sample_points4))
@@ -808,7 +825,7 @@ def test_eps_top_is_bitwise_lapack_on_curved_metric(m):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_eps_top_matches_lapack_on_dense_metrics(n):
     gv = _random_metrics(n, 257, seed=n)
-    g = MetricField(Signature.mostly_minus(n), lambda pts: gv, flat=False)
+    g = MetricField(Signature.mostly_minus(n), lambda pts: gv)
     want = np.sqrt(np.abs(np.linalg.det(gv)))
     got = g.eps_top(np.zeros((257, n)))
     assert np.max(np.abs(got - want) / want) < 1e-12

@@ -12,7 +12,6 @@ from laue_lab.quadrature import four_momentum, laue_integrals
 from laue_lab.scenarios import (
     SCENARIO_NAMES,
     build,
-    coulomb_pair_energy,
     virial_check,
 )
 
@@ -216,29 +215,7 @@ def test_tolman_passive_mass_completed_shell():
     assert out["passive_mass"] == pytest.approx(out["P0"], rel=1e-3)
 
 
-# --- pair energy and virial ---
-
-
-def test_pair_energy_opposite_charges():
-    d = 0.7
-    got = coulomb_pair_energy([(1.0, [0, 0, 0]), (-1.0, [d, 0, 0])])
-    assert got == pytest.approx(-1.0 / (4.0 * math.pi * d))
-
-
-def test_pair_energy_single_charge_is_zero():
-    assert coulomb_pair_energy([(1.0, [0, 0, 0])]) == 0.0
-
-
-def test_pair_energy_equilateral_triangle():
-    d = 1.3
-    h = d * math.sqrt(3) / 2
-    pts = [(1.0, [0, 0, 0]), (1.0, [d, 0, 0]), (1.0, [d / 2, h, 0])]
-    assert coulomb_pair_energy(pts) == pytest.approx(3.0 / (4.0 * math.pi * d))
-
-
-def test_pair_energy_coincident_rejected():
-    with pytest.raises(ValueError):
-        coulomb_pair_energy([(1.0, [0, 0, 0]), (2.0, [0, 0, 0])])
+# --- virial ---
 
 
 def test_virial_residual_is_roundoff():
