@@ -34,7 +34,6 @@ from .fields import (
 )
 from .quadrature import (
     HyperplanePatch,
-    MomentumValue,
     flux_charge,
     four_momentum,
     integrate_form,

@@ -393,7 +393,7 @@ def equivariance_report(
     for label, g in g_list:
         if not is_isometry(g, sig):
             raise ValueError(f"group element {label} is not an isometry")
-        predicted = coad(g, base.lie, sig).components()
+        predicted = coad(g, base, sig).components()
         image_patch = transform_patch(g, patch)
         T_g = active_transform(g, T)
         mv_full = momentum_map(T_g, image_patch, origin)

@@ -22,18 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .exterior import Signature, multi_indices
 from .fields import MetricField, SymTensorField, VectorField, _require_finite, dual_form
-from .poincare import PoincareElement, PoinLieElement, _matvec, bivector_to_matrix, is_isometry, pairing
+from .poincare import PoincareElement, PoinLieElement, _matvec, is_isometry
 
 __all__ = [
     "HyperplanePatch",
-    "MomentumValue",
     "integrate_form",
     "integrate_scalar_density",
     "flux_charge",
@@ -92,13 +90,8 @@ def pairwise_sum(values: np.ndarray):
 
 
 def evaluate_tiled(func: Callable, points: np.ndarray) -> np.ndarray:
-    """Evaluate a batched field tile by tile; tile order fixes the result."""
-    points = np.asarray(points, float)
-    if points.shape[0] <= TILE:
-        return np.asarray(func(points), float)
-    return np.concatenate(
-        [np.asarray(func(points[lo : lo + TILE]), float) for lo in range(0, len(points), TILE)]
-    )
+    """Samples of a batched field at the points of one tile, as floats."""
+    return np.asarray(func(np.asarray(points, float)), float)
 
 
 # the largest rule a patch may carry; a larger one is refused from its factor
@@ -145,6 +138,8 @@ class ProductRule:
         weights = np.asarray(weights, float)
         if nodes.ndim != 2 or weights.shape != (nodes.shape[0],):
             raise ValueError("bad custom rule shapes")
+        if not np.isfinite(weights).all():
+            raise ValueError("custom rule weights must be finite")
         nodes.flags.writeable = False
         weights.flags.writeable = False
         return cls(len(weights), nodes.shape[1], 1, lambda i0, i1: (nodes[i0:i1], weights[i0:i1]))
@@ -155,9 +150,9 @@ class ProductRule:
         cells along axis k: nodes in C order, equal weights."""
         half_widths = np.array(half_widths, float)
         grid = tuple(int(N) for N in grid)
-        if (half_widths.shape != (len(grid),) or (half_widths <= 0).any()
-                or any(N < 1 for N in grid)):
-            raise ValueError("half widths must be positive, grid at least 1 per axis")
+        if (half_widths.shape != (len(grid),) or any(N < 1 for N in grid)
+                or not ((0 < half_widths) & (half_widths < np.inf)).all()):
+            raise ValueError("half widths must be positive and finite, grid at least 1 per axis")
         half_widths.flags.writeable = False
         size = _node_count(math.prod(grid))
         axes = []
@@ -346,17 +341,6 @@ class HyperplanePatch:
         return float(self.normal @ self.sig.matrix @ self.normal)
 
 
-@dataclass(frozen=True)
-class MomentumValue:
-    """Pairing representative of the momentum functional plus raw fluxes."""
-
-    lie: PoinLieElement
-    fluxes: np.ndarray
-
-    def components(self) -> np.ndarray:
-        return self.lie.components()
-
-
 def _measure_factor(patch: HyperplanePatch) -> float:
     """Pullback of the induced measure onto the tangent frame (flat chart)."""
     sign = 1.0 if patch.normal_square() > 0 else -1.0
@@ -511,17 +495,6 @@ def momentum_basis(n: int):
     return basis
 
 
-@lru_cache(maxsize=None)
-def _generator_pairing(sig: Signature):
-    """Per basis generator xi, the lowered parts (eta P, eta E) of its
-    current K_a T^{ab} with K = P + E (x - origin); and the Gram matrix of
-    ``pairing`` over the basis.  Both depend on the signature alone."""
-    eta = sig.matrix
-    basis = momentum_basis(sig.n)
-    currents = tuple((eta @ xi.P, eta @ bivector_to_matrix(xi.M, sig)) for xi in basis)
-    return currents, np.array([[pairing(x, y, sig) for y in basis] for x in basis])
-
-
 def _flux_moments(T: SymTensorField, patch: HyperplanePatch, n_low, origin: np.ndarray):
     """F0^a = sum w j^a and F1^{ac} = sum (w j^a) (x - origin)^c of the
     normal flux j^a = T^{ab} n_b, sampled per node by :meth:`SymTensorField.flux`
@@ -542,24 +515,19 @@ def _flux_moments(T: SymTensorField, patch: HyperplanePatch, n_low, origin: np.n
     return sums[:n], sums[n:].reshape(n, n)
 
 
-def momentum_map(T: SymTensorField, patch: HyperplanePatch, origin: np.ndarray) -> MomentumValue:
-    """Fluxes of the generator currents through the patch, resolved in the
-    Lie-algebra pairing.
+def momentum_map(T: SymTensorField, patch: HyperplanePatch, origin: np.ndarray) -> PoinLieElement:
+    """The momentum-map value (P, M) of T on the patch about ``origin``:
+    P^a = F0^a and M^{ab} = F1^{ab} - F1^{ba} from the flux moments of
+    :func:`_flux_moments`.
 
-    Each basis generator xi contributes the flux of the current contraction
-    (V_xi)_a T^{ab}; the returned element satisfies
-    pairing(value, xi_i) = flux_i.  The translation sector reproduces
-    :func:`four_momentum`.
+    It is the element whose pairing with each generator xi of
+    :func:`momentum_basis` is the flux of the current (V_xi)_a T^{ab}.  That
+    holds exactly because the basis is pairing-orthogonal with entries +-1:
+    the eta factors of a generator's current are those of its pairing.  The
+    translation sector reproduces :func:`four_momentum`.
     """
-    sig = patch.sig
-    n = sig.n
-    origin = np.asarray(origin, float)
-    F0, F1 = _flux_moments(T, patch, sig.matrix @ patch.normal, origin)
-    currents, gram = _generator_pairing(sig)
-    fluxes = np.array([KP @ F0 + np.sum(KE * F1) for KP, KE in currents])
-    coeffs = np.linalg.solve(gram, fluxes)
-    lie = PoinLieElement(coeffs[:n], coeffs[n:])
-    return MomentumValue(lie, fluxes)
+    F0, F1 = _flux_moments(T, patch, patch.sig.matrix @ patch.normal, np.asarray(origin, float))
+    return PoinLieElement(F0, [F1[a, b] - F1[b, a] for a, b in multi_indices(patch.sig.n, 2)])
 
 
 # --- radially adapted rules for 1/r^4 scenario tails ---

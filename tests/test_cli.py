@@ -735,9 +735,12 @@ def test_verify_conservation_never_builds_a_whole_rule(monkeypatch, capsys):
 
 
 def test_determinism_identical_bytes(capsys):
-    _, out1, _ = run(capsys, "verify", "algebra", "--seed", "42")
-    _, out2, _ = run(capsys, "verify", "algebra", "--seed", "42")
-    assert out1 == out2
+    # verify algebra integrates nothing; laue equivariance integrates over patches
+    for argv in (("verify", "algebra", "--seed", "42"),
+                 ("laue", "equivariance", "--scenario", "completed_shell", "--grid-n", "24")):
+        _, out1, _ = run(capsys, *argv)
+        _, out2, _ = run(capsys, *argv)
+        assert out1 == out2
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
