@@ -64,9 +64,12 @@ TILE = 8192
 def _pair_tree(partials: np.ndarray) -> np.ndarray:
     """Add adjacent partials level by level along the last axis, carrying an odd tail."""
     while partials.shape[-1] > 1:
-        half = partials.shape[-1] // 2
-        head = partials[..., : 2 * half].reshape(partials.shape[:-1] + (half, 2)).sum(axis=-1)
-        partials = np.concatenate([head, partials[..., 2 * half :]], axis=-1)
+        head = partials[..., 0:-1:2] + partials[..., 1::2]
+        # as numpy's sum of a pair, which starts from +0.0: -0.0 + -0.0 gives +0.0
+        head += 0.0
+        if partials.shape[-1] % 2:
+            head = np.concatenate([head, partials[..., -1:]], axis=-1)
+        partials = head
     return partials[..., 0]
 
 
@@ -426,14 +429,27 @@ def patch_moments(T: SymTensorField, patch: HyperplanePatch) -> np.ndarray:
     the weak-field mass and the classical P of T on the patch contract,
     where w is the rule weight times the induced-measure factor.  The patch
     is sampled once.
+
+    T is symmetric by construction, so of the n**2 sampled components only
+    the n(n+1)/2 rows a <= b are weighted and reduced, and M0 is their
+    mirror: a field whose samples are not bitwise symmetric gets its upper
+    triangle mirrored.
     """
     n = patch.sig.n
+    upper = np.triu_indices(n)
 
     def weighted_rows(Tv, pts, w):
         m = len(pts)
-        return np.multiply(Tv.reshape(m, n * n).T, w, out=np.empty((n * n, m)))
+        rows, out = Tv.reshape(m, n * n).T, np.empty((len(upper[0]), m))
+        k = 0
+        for a in range(n):  # the contiguous row slice T^{a,a..n-1}
+            np.multiply(rows[a * n + a : (a + 1) * n], w, out=out[k : k + n - a])
+            k += n - a
+        return out
 
-    return _reduce_patch(T, patch, _measure_factor(patch), weighted_rows).reshape(n, n)
+    M0 = np.empty((n, n))
+    M0[upper] = M0.T[upper] = _reduce_patch(T, patch, _measure_factor(patch), weighted_rows)
+    return M0
 
 
 def four_momentum(T: SymTensorField, patch: HyperplanePatch) -> np.ndarray:

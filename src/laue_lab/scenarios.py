@@ -132,14 +132,18 @@ def _shell(completed: bool):
             raise ValueError("mollifier width must be in [0, R)")
 
         def func(points):
-            # component-major: each T^{ab} is one contiguous row of out, returned
-            # as an (..., 4, 4) view; the coordinate columns are only read
+            # component-major: each T^{ab} is one contiguous row of out, written
+            # in place and returned as an (..., 4, 4) view; the coordinate
+            # columns are only read
             points = np.asarray(points, float)
             r = np.sqrt(_spatial_r2(points[..., 1:]))
             # floor keeps 1/r^4 finite at the origin, where the weight is zero anyway
             r_safe = np.maximum(r, 1e-60 * R)
-            out = np.zeros((4, 4) + r.shape)
-            e2 = (q / (4.0 * math.pi)) ** 2 / r_safe**4  # |E|^2
+            out = np.empty((4, 4) + r.shape)
+            out[0, 1:] = out[1:, 0] = 0.0
+            # r_safe**4 into an array even for one point; squaring r_safe**2 rounds differently
+            e2 = np.power(r_safe, 4, out=np.empty(r.shape))
+            np.divide((q / (4.0 * math.pi)) ** 2, e2, out=e2)  # |E|^2
             dirs = [points[..., 1 + a] / r_safe for a in range(3)]
             if mollify > 0.0:
                 # quintic C^2 blend of width mollify across the surface, for
@@ -148,17 +152,23 @@ def _shell(completed: bool):
                 w = t**3 * (10.0 + t * (-15.0 + 6.0 * t))
             else:
                 w = (r > R).astype(float)
-            half_e2 = w * 0.5 * e2
-            minus_we2 = -w * e2
+            half_e2 = np.multiply(w, 0.5, out=out[0, 0, ...])
+            half_e2 *= e2
+            minus_we2 = -w
+            minus_we2 *= e2
             # interior isotropic tension balancing the exterior stress integrals
             tension = (1.0 - w) * (q**2 / (32.0 * math.pi**2 * R**4)) if completed else None
-            out[0, 0] = half_e2
+            # each row is (d^a d^b) (-w e2), the diagonal then + half_e2 - tension
             for a in range(3):
-                for b in range(a + 1, 3):
-                    out[1 + a, 1 + b] = out[1 + b, 1 + a] = minus_we2 * (dirs[a] * dirs[b])
-                out[1 + a, 1 + a] = minus_we2 * (dirs[a] * dirs[a]) + half_e2
+                for b in range(a, 3):
+                    row = np.multiply(dirs[a], dirs[b], out=out[1 + a, 1 + b, ...])
+                    row *= minus_we2
+                    if b > a:
+                        out[1 + b, 1 + a] = row
+                diag = out[1 + a, 1 + a, ...]
+                diag += half_e2
                 if completed:
-                    out[1 + a, 1 + a] -= tension
+                    diag -= tension
             return np.moveaxis(out, (0, 1), (-2, -1))
 
         def rule(scale, outer):
@@ -171,10 +181,13 @@ def _shell(completed: bool):
             return ProductRule.spherical(segments, n_ang, n_ang)
 
         P0 = q**2 / (8.0 * math.pi) * (1.0 / R - 1.0 / r_out)
+        # each diagonal stress integral; the completed shell's interior tension
+        # cancels the exterior's 1/R term and leaves the traction at the cutoff
+        stress = -(q**2) / (24.0 * math.pi * r_out) if completed else P0 / 3.0
         return func, ScenarioSpec(
             "completed_shell" if completed else "coulomb_shell", "radial",
             stationary=True, conserved=completed, rule=rule,
-            analytic={"P0": P0, "stress_11": 0.0 if completed else P0 / 3.0},
+            analytic={"P0": P0, "stress_11": stress},
         )
 
     return declare

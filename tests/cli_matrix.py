@@ -32,6 +32,8 @@ COMMANDS = (
     + [["laue", check, "--scenario", name, "--grid-n", "24"]
        for name in SCENARIO_NAMES for check in ("classical", "fake", "equivariance")]
     + [["scenario", name, "--grid-n", "24"] for name in SCENARIO_NAMES]
+    + [["scenario", name] for name in SCENARIO_NAMES]
+    + [["scenario", "coulomb_shell", "--grid-n", "96"]]
     + [["laue", check] for check in ("classical", "fake", "equivariance")]
     + [["laue", "equivariance", "--scenario", "completed_shell"]]
     + [["laue", "classical", "--scenario", name, "--strict"]

@@ -44,6 +44,7 @@ from laue_lab.quadrature import (
     ProductRule,
     _flux_moments,
     _measure_factor,
+    _pair_tree,
     flux_charge,
     flux_charge_normal_form,
     four_momentum,
@@ -58,7 +59,7 @@ from laue_lab.quadrature import (
     spherical_rule,
     transform_patch,
 )
-from laue_lab.scenarios import _EDGE_NUDGE, build
+from laue_lab.scenarios import _EDGE_NUDGE, SCENARIO_NAMES, build
 
 from field_builders import box_spec, make_static_dust
 
@@ -611,7 +612,12 @@ def recursive_pairwise_sum(values):
     partials = [
         recursive_pairwise_sum(values[i : i + block]) for i in range(0, values.size, block)
     ]
-    arr = np.array(partials)
+    return reference_pair_tree(partials)
+
+
+def reference_pair_tree(partials):
+    """The tree over block sums, one numpy pair sum at a time."""
+    arr = np.array(partials, dtype=float)
     while arr.size > 1:
         half = arr.size // 2
         head = arr[: 2 * half].reshape(half, 2).sum(axis=1)
@@ -628,6 +634,46 @@ def test_pairwise_sum_keeps_the_recursive_tree(m):
     got = pairwise_sum(cols)
     assert got.shape == (3,)
     assert list(got) == ref  # column input, bitwise
+
+
+def signed_zero_data(kind, shape, rng):
+    """Wide-range values, blocks of -0.0, or a random mix of +0.0 and -0.0."""
+    if kind == "wide":
+        return rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    if kind == "minus_zero":
+        return np.full(shape, -0.0)
+    return rng.choice([0.0, -0.0], shape)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+ZERO_KINDS = ["wide", "minus_zero", "mixed_zeros"]
+
+
+@pytest.mark.parametrize("cols", [1, 3, 20])
+@pytest.mark.parametrize("kind", ZERO_KINDS)
+def test_pair_tree_keeps_signed_zeros(kind, cols):
+    # == cannot tell -0.0 from 0.0; the bytes can
+    rng = np.random.default_rng(cols)
+    for count in [*range(1, 141), 1023, 4097]:
+        partials = signed_zero_data(kind, (cols, count), rng)
+        ref = [reference_pair_tree(row) for row in partials]
+        assert bits(_pair_tree(partials)) == bits(ref), count
+
+
+@pytest.mark.parametrize("cols", [1, 3, 20])
+@pytest.mark.parametrize("kind", ZERO_KINDS)
+def test_pairwise_sum_keeps_signed_zeros(kind, cols):
+    rng = np.random.default_rng(cols)
+    # block counts 1-140, 1023 and 4097, the last block partial for odd counts
+    for count in [*range(1, 141), 1023] + ([4097] if cols < 20 else []):
+        m = count * BLOCK - (count % 2) * 37
+        values = signed_zero_data(kind, (m, cols), rng)
+        ref = [recursive_pairwise_sum(values[:, j]) for j in range(cols)]
+        assert bits(pairwise_sum(values)) == bits(ref), count
+        assert bits(pairwise_sum(values[:, 0])) == bits(ref[0]), count
 
 
 def multi_tile_patch():
@@ -668,6 +714,40 @@ def test_patch_moments_bitwise_equal_to_whole_array_tree():
     assert np.array_equal(M0, np.array(M0_ref))
     assert np.array_equal(F0, np.array(F0_ref))
     assert np.array_equal(F1, np.array(F1_ref))
+
+
+def whole_moment_reference(T, patch):
+    """The 16 sums w T^{ab} of the whole rule, each by the recursive tree."""
+    nodes, weights = patch.nodes_weights()
+    Tv = T(patch.points(nodes))
+    w = weights * _measure_factor(patch)
+    return np.array([[recursive_pairwise_sum(Tv[:, a, b] * w) for b in range(4)] for a in range(4)])
+
+
+def symmetric_moment_case(case):
+    if case == "dust_multi_tile":
+        return make_static_dust(1.0, 0.7), multi_tile_patch()
+    T, spec = build(case)
+    return T, spec.slice_patch(SIG, scale=0.25)
+
+
+@pytest.mark.parametrize("case", [*SCENARIO_NAMES, "dust_multi_tile"])
+def test_patch_moments_reduce_only_the_upper_triangle(monkeypatch, case):
+    # a symmetric T has n(n+1)/2 = 10 independent rows; only those are
+    # weighted and summed, and the mirror is bitwise the 16-entry reference
+    T, patch = symmetric_moment_case(case)
+    columns = []
+
+    def recording_sum(values):
+        columns.append(np.shape(values)[1])
+        return pairwise_sum(values)
+
+    monkeypatch.setattr(quadrature, "pairwise_sum", recording_sum)
+    M0 = patch_moments(SymTensorField(T), patch)
+    m = len(patch.nodes_weights()[1])
+    assert columns == [10] * -(-m // TILE)
+    assert bits(M0) == bits(M0.T)
+    assert np.array_equal(M0, whole_moment_reference(T, patch))
 
 
 def test_tile_is_a_whole_subtree_of_the_pairwise_tree():

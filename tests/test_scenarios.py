@@ -114,6 +114,24 @@ def test_completed_shell_stress_integrals_cancel():
     assert max(abs(v) for v in out.values()) < 1e-3 * P0
 
 
+def test_completed_shell_stress_converges_to_its_closed_form():
+    # the field stops at r_out and leaves a traction there: each diagonal
+    # stress integral is -q^2 / (24 pi r_out), not 0, and the quadrature
+    # error against that value falls 4x per doubling of the grid scale
+    T, spec = build("completed_shell")
+    closed = spec.analytic["stress_11"]
+    assert closed == pytest.approx(-1.0 / (24.0 * math.pi * 1e3), rel=1e-15)
+    errors = {}
+    for scale in (1.0, 2.0):
+        patch = spec.slice_patch(SIG, scale=scale)
+        P0 = four_momentum(T, patch)[0]
+        out = laue_integrals(T, patch)
+        errors[scale] = [abs(out[key] - closed) / P0 for key in ("T11", "T22", "T33")]
+    assert max(errors[2.0]) < 1e-4
+    for coarse, fine in zip(errors[1.0], errors[2.0]):
+        assert 3.0 <= coarse / fine <= 5.0
+
+
 def test_completed_shell_conserved_across_surface():
     # the interior tension restores radial stress continuity; the bare shell
     # keeps a finite jump
