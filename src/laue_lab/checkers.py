@@ -303,7 +303,6 @@ def geometric_laue_residuals(
         return np.einsum("...a,...a->...", dphi, u), np.einsum("...a,...a->...", dphi, j), u, j
 
     def integrand_A(points):
-        points = np.asarray(points, float)
         ju = insert_comps(U(points), calJ(points), n, n - 1)
         return wedge_comps(phi.gradient(points, h), 1, ju, n - 2, n)
 
@@ -319,7 +318,6 @@ def geometric_laue_residuals(
     rB = abs(integrate_form(FormField(n, n - 1, integrand_B), patch))
 
     def integrand_C(points):
-        points = np.asarray(points, float)
         u_phi, j_phi, u, j = pairings(points)
         gv = g(points)
         jn = np.einsum("...ab,...a,b->...", gv, j, patch.normal)
@@ -346,7 +344,6 @@ def exact_current_factory(lam: FormField, g: MetricField, h: float = DEFAULT_H):
     signs = (-1.0) ** np.arange(n)
 
     def j_func(points):
-        points = np.asarray(points, float)
         eps = np.asarray(g.eps_top(points), float)
         return signs * calJ(points)[..., ::-1] / eps[..., None]
 
@@ -457,7 +454,6 @@ def vector_divergence(J: VectorField, g: MetricField, h: float = DEFAULT_H) -> S
     n = g.n
 
     def func(points):
-        points = np.asarray(points, float)
         total = np.zeros(points.shape[:-1])
         for d in range(n):
             total += _central(lambda p: g.eps_top(p) * J(p)[..., d], points, d, h)

@@ -63,12 +63,22 @@ class IntegralRecord:
         return cls(name, value, grid, tolerance=tol, verdict="pass" if ok else "fail", **meta)
 
 
+def _row(r) -> dict:
+    """The CSV_HEADER columns of a record, the one row every format prints: a
+    NaN number is None, and the value a plain float, since numpy 2 prints a
+    np.float64 as ``np.float64(...)``."""
+    name, _, comp = r.name.partition("[")
+    cells = (name, comp.rstrip("]"), float(r.value), r.grid, r.h, r.refinement_ratio,
+             r.tolerance, r.verdict)
+    return {key: None if isinstance(x, float) and math.isnan(x) else x
+            for key, x in zip(CSV_HEADER.split(","), cells)}
+
+
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return ""
-        return repr(x)
-    return str(x)
+    """A cell as CSV and markdown print it: None as "", a float by repr."""
+    if x is None:
+        return ""
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 def records_to_csv(records) -> str:
@@ -76,49 +86,22 @@ def records_to_csv(records) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     for r in records:
-        name, _, comp = r.name.partition("[")
-        writer.writerow(
-            [
-                name,
-                comp.rstrip("]"),
-                _fmt(float(r.value)),
-                r.grid,
-                _fmt(r.h),
-                _fmt(r.refinement_ratio),
-                _fmt(r.tolerance),
-                r.verdict,
-            ]
-        )
+        writer.writerow([_fmt(x) for x in _row(r).values()])
     return buf.getvalue()
 
 
 def records_to_json(records) -> str:
-    rows = []
-    for r in records:
-        name, _, comp = r.name.partition("[")
-        rows.append(
-            {
-                "quantity": name,
-                "component": comp.rstrip("]"),
-                "value": r.value,
-                "grid_N": r.grid,
-                "h": None if math.isnan(r.h) else r.h,
-                "refinement_ratio": None
-                if math.isnan(r.refinement_ratio)
-                else r.refinement_ratio,
-                "tolerance": None if math.isnan(r.tolerance) else r.tolerance,
-                "verdict": r.verdict,
-            }
-        )
-    return json.dumps(rows, indent=2) + "\n"
+    return json.dumps([_row(r) for r in records], indent=2) + "\n"
 
 
 def records_to_md(records) -> str:
     out = ["| quantity | value | grid | tolerance | verdict |",
            "|---|---|---|---|---|"]
     for r in records:
-        tol = "" if math.isnan(r.tolerance) else _fmt(r.tolerance)
-        out.append(f"| {r.name} | {_fmt(float(r.value))} | {r.grid} | {tol} | {r.verdict} |")
+        row = {key: _fmt(x) for key, x in _row(r).items()}
+        name = row["quantity"] + (f"[{row['component']}]" if row["component"] else "")
+        out.append(f"| {name} | {row['value']} | {row['grid_N']} | {row['tolerance']} "
+                   f"| {row['verdict']} |")
     return "\n".join(out) + "\n"
 
 
@@ -257,7 +240,6 @@ ETA = MetricField.minkowski(4)
 
 
 def _curved_metric(points):
-    points = np.asarray(points, float)
     out = np.zeros((4, 4) + points.shape[:-1])  # component-major, like the scenario closures
     out[0, 0], out[2, 2], out[3, 3] = 1.0, -1.0, -1.0
     out[1, 1] = -((1.0 + 0.1 * np.sin(points[..., 1])) ** 2)
@@ -268,7 +250,6 @@ CURVED_METRIC = MetricField(SIG, _curved_metric)  # g_11 = -(1 + 0.1 sin x1)^2
 
 
 def _lam(points):
-    points = np.asarray(points, float)
     x = points[..., 1:]
     b = np.exp(-_spatial_r2(x) / 2.0)
     out = np.zeros(points.shape[:-1] + (6,), order="F")  # component-major, like a tile
@@ -284,7 +265,6 @@ TIME_TRANSLATION = VectorField(
 
 
 def _phi(points):
-    points = np.asarray(points, float)
     r2 = _spatial_r2(points[..., 1:])
     return np.exp(-r2 / 4.0) * points[..., 1]
 
@@ -295,7 +275,6 @@ PHI = ScalarField(_phi)  # geometric test function exp(-r^2/4) x1
 def _conserved_blob(points):
     # Gaussian energy density; spatial stress [delta_ab (r^2 - 2) - x_a x_b]
     # exp(-r^2/2) / 2, whose spatial divergence vanishes identically
-    points = np.asarray(points, float)
     x = points[..., 1:]
     r2 = _spatial_r2(x)
     chi = 0.5 * np.exp(-r2 / 2.0)
@@ -315,7 +294,6 @@ ROTATION_12 = VectorField(
 
 
 def _conserved_current(points):
-    points = np.asarray(points, float)
     t = points[..., 0]
     x = points[..., 1:]
     r2 = _spatial_r2(x)
@@ -326,7 +304,6 @@ def _conserved_current(points):
 
 
 def _sourced_current(points):
-    points = np.asarray(points, float)
     out = np.zeros(points.shape[:-1] + (4,))
     r2 = _spatial_r2(points[..., 1:])
     out[..., 0] = (1.0 + 0.5 * np.sin(points[..., 0])) * np.exp(-r2)
@@ -334,14 +311,12 @@ def _sourced_current(points):
 
 
 def _static_charge(points):
-    points = np.asarray(points, float)
     out = np.zeros(points.shape[:-1] + (4,))
     out[..., 0] = np.exp(-_spatial_r2(points[..., 1:]))
     return out
 
 
 def _generic_current(points):
-    points = np.asarray(points, float)
     b = np.exp(-_spatial_r2(points[..., 1:]) / 2.0)
     return b[..., None] * np.array([1.0, 0.5, 0.3, -0.2])
 

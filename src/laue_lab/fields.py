@@ -52,12 +52,17 @@ __all__ = [
 DEFAULT_H = 1e-3
 
 
+def _sample(field, points):
+    """``field.func`` at ``points``: every field class's ``__call__``, and the one
+    place points become a float array, so no closure converts them again."""
+    return np.asarray(field.func(np.asarray(points, float)), float)
+
+
 @dataclass
 class ScalarField:
     func: Callable
 
-    def __call__(self, points):
-        return np.asarray(self.func(np.asarray(points, float)), float)
+    __call__ = _sample
 
     def gradient(self, points, h: float = DEFAULT_H):
         """Central-difference gradient, components (..., n)."""
@@ -71,8 +76,7 @@ class ScalarField:
 class VectorField:
     func: Callable
 
-    def __call__(self, points):
-        return np.asarray(self.func(np.asarray(points, float)), float)
+    __call__ = _sample
 
 
 @dataclass
@@ -83,8 +87,7 @@ class FormField:
     p: int
     func: Callable
 
-    def __call__(self, points):
-        return np.asarray(self.func(np.asarray(points, float)), float)
+    __call__ = _sample
 
 
 @dataclass
@@ -94,8 +97,7 @@ class CoFormField:
     n: int
     func: Callable
 
-    def __call__(self, points):
-        return np.asarray(self.func(np.asarray(points, float)), float)
+    __call__ = _sample
 
 
 @dataclass
@@ -109,8 +111,7 @@ class SymTensorField:
     func: Callable
     flux_func: Optional[Callable] = None
 
-    def __call__(self, points):
-        return np.asarray(self.func(np.asarray(points, float)), float)
+    __call__ = _sample
 
     def flux(self, points, n_low):
         """The normal flux j^a = T^{ab} n_b per point, for a covector ``n_low``."""
@@ -125,8 +126,7 @@ class Cov2Field:
 
     func: Callable
 
-    def __call__(self, points):
-        return np.asarray(self.func(np.asarray(points, float)), float)
+    __call__ = _sample
 
 
 @dataclass
@@ -134,7 +134,7 @@ class MetricField:
     """Pointwise nondegenerate symmetric (0,2) field with constant signature.
 
     ``flat`` says the field is ``sig.matrix``; it is derived, set exactly when
-    no ``func`` is given.
+    no ``func`` is given, and only :meth:`eps_top` reads it.
     """
 
     sig: Signature
@@ -146,7 +146,6 @@ class MetricField:
             eta = self.sig.matrix
 
             def func(points):
-                points = np.asarray(points, float)
                 return np.broadcast_to(eta, points.shape[:-1] + eta.shape)
 
             self.func = func
@@ -160,8 +159,7 @@ class MetricField:
     def n(self) -> int:
         return self.sig.n
 
-    def __call__(self, points):
-        return np.asarray(self.func(np.asarray(points, float)), float)
+    __call__ = _sample
 
     def eps_top(self, points):
         """Volume-form component sqrt|det g| in the working chart (1 when flat).
@@ -227,11 +225,10 @@ def exterior_derivative(omega: FormField, h: float = DEFAULT_H) -> FormField:
     each value slot on its own."""
     n, p = omega.n, omega.p
     if p >= n:
-        return FormField(n, n, lambda pts: np.zeros(np.asarray(pts).shape[:-1] + (1,)))
+        return FormField(n, n, lambda pts: np.zeros(pts.shape[:-1] + (1,)))
     table = _wedge_table(n, 1, p)  # d omega = sum_c dx^c ^ d_c omega
 
     def func(points):
-        points = np.asarray(points, float)
         partials = _fd_stack(omega, points, h, 0)
         out = np.zeros(partials.shape[1:-1] + (math.comb(n, p + 1),), order="F")
         for out_rank, axis, in_rank, sign in table:
@@ -242,13 +239,11 @@ def exterior_derivative(omega: FormField, h: float = DEFAULT_H) -> FormField:
 
 
 def christoffels(g: MetricField, h: float = DEFAULT_H):
-    """Levi-Civita coefficients Gamma^a_{bc} from central differences of g."""
-    n = g.n
+    """Levi-Civita coefficients Gamma^a_{bc} from central differences of g,
+    for every metric: on a flat one the differences of a constant are exactly 0."""
 
     def func(points):
         points = np.asarray(points, float)
-        if g.flat:
-            return np.zeros(points.shape[:-1] + (n, n, n))
         dg = _fd_stack(g, points, h, -3)  # (..., d, a, b) = partial_d g_ab
         ginv = np.linalg.inv(g(points))
         # Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_db - d_d g_bc)
@@ -263,18 +258,16 @@ def christoffels(g: MetricField, h: float = DEFAULT_H):
 
 
 def divergence(T: SymTensorField, g: MetricField, h: float = DEFAULT_H) -> VectorField:
-    """Covariant divergence (nabla . T)^a; flat charts reduce to d_b T^{ab}."""
+    """Covariant divergence (nabla . T)^a = d_b T^{ab} + Gamma terms."""
     gamma = christoffels(g, h)
 
     def func(points):
-        points = np.asarray(points, float)
         dT = _fd_stack(T, points, h, -3)  # (..., d, a, b)
         out = np.einsum("...bab->...a", dT)
-        if not g.flat:
-            G = gamma(points)
-            Tv = T(points)
-            out = out + np.einsum("...abc,...bc->...a", G, Tv)
-            out = out + np.einsum("...bbc,...ac->...a", G, Tv)
+        G = gamma(points)
+        Tv = T(points)
+        out = out + np.einsum("...abc,...bc->...a", G, Tv)
+        out = out + np.einsum("...bbc,...ac->...a", G, Tv)
         return out
 
     return VectorField(func)
@@ -292,7 +285,6 @@ def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
         d_omega = exterior_derivative(field, h)
 
         def func(points):
-            points = np.asarray(points, float)
             v = V(points)
             inner = FormField(
                 n, p - 1, lambda pts: insert_comps(V(pts), field(pts), n, p)
@@ -305,7 +297,6 @@ def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
 
     if isinstance(field, (MetricField, Cov2Field)):
         def func_g(points):
-            points = np.asarray(points, float)
             dg = _fd_stack(field, points, h, -3)
             jV = _fd_stack(V, points, h, -1)  # (..., c, d) = d_d V^c
             gv = field(points)
@@ -320,15 +311,10 @@ def lie_derivative(field, V: VectorField, h: float = DEFAULT_H):
 
 
 def _nabla_K(K: VectorField, g: MetricField, points, h: float):
-    """(nabla_a K_b) = d_a(g_bc K^c) - Gamma^c_ab K_c at the points, indices (..., a, b).
-
-    A flat metric has no derivative and no connection, so both are skipped.
-    """
+    """(nabla_a K_b) = d_a(g_bc K^c) - Gamma^c_ab K_c at the points, indices (..., a, b)."""
     gv = g(points)
     jK = _fd_stack(K, points, h, -1)  # (..., b, a) = d_a K^b
     gjK = np.einsum("...cb,...ba->...ac", gv, jK)
-    if g.flat:
-        return gjK
     Kv = K(points)
     dg = _fd_stack(g, points, h, -3)
     # d_a K_c = (d_a g_cb) K^b + g_cb d_a K^b
@@ -393,7 +379,6 @@ def boost_emt_analytic(T: SymTensorField, beta: float) -> SymTensorField:
     gamma = 1.0 / math.sqrt(1.0 - beta * beta)
 
     def func(points):
-        points = np.asarray(points, float)
         if points.shape[-1] != 4:
             raise ValueError("analytic boost law is four-dimensional")
         under = points.copy(order="K")  # in the caller's layout, as _shift copies
@@ -440,7 +425,6 @@ def emt_to_form(T: SymTensorField, g: MetricField) -> CoFormField:
     """Covector-valued (n-1)-form: first index lowered, second dualised."""
 
     def func(points):
-        points = np.asarray(points, float)
         T_mixed = np.einsum("...ac,...cb->...ab", g(points), T(points))  # T_a^b
         return _volume_insert(T_mixed, g.eps_top(points))
 
@@ -461,7 +445,6 @@ def dual_form(V: VectorField, g: MetricField) -> FormField:
     """The (n-1)-form star(V_flat) = i_V mu_g: V inserted into the volume form."""
 
     def func(points):
-        points = np.asarray(points, float)
         return _volume_insert(V(points), g.eps_top(points))
 
     return FormField(g.n, g.n - 1, func)
@@ -485,18 +468,17 @@ def identity_residuals(
     eps = g.eps_top(points)
     div_low = np.einsum("...ab,...b->...a", gv, divT(points))
 
-    gamma = christoffels(g, h)(points) if not g.flat else None
+    gamma = christoffels(g, h)(points)
 
     # every row of calT in one stencil pass: d_rows[..., a] = d(calT_a)
     d_rows = exterior_derivative(FormField(n, n - 1, calT), h)(points)[..., 0]
-    if gamma is not None:
-        calT_v = calT(points)
-        for a in range(n):
-            # connection correction: -(Gamma^b_{ca} dx^c) ^ calT_b
-            for b in range(n):
-                one_form = gamma[..., b, :, a]
-                corr = wedge_comps(one_form, 1, calT_v[..., b, :], n - 1, n)
-                d_rows[..., a] -= corr[..., 0]
+    calT_v = calT(points)
+    for a in range(n):
+        # connection correction: -(Gamma^b_{ca} dx^c) ^ calT_b
+        for b in range(n):
+            one_form = gamma[..., b, :, a]
+            corr = wedge_comps(one_form, 1, calT_v[..., b, :], n - 1, n)
+            d_rows[..., a] -= corr[..., 0]
     defect = d_rows - div_low * np.asarray(eps)[..., None]
     _require_finite(defect, points)
     r1 = float(np.max(np.abs(defect)))

@@ -395,11 +395,11 @@ def integrate_form(omega, patch: HyperplanePatch) -> float:
 
 
 def integrate_scalar_density(f, patch: HyperplanePatch, g: Optional[MetricField] = None) -> float:
-    """Integral of a scalar against the induced measure d(mu)."""
-    curved = g is not None and not g.flat
+    """Integral of a scalar against the induced measure d(mu); ``g = None`` is
+    the flat chart."""
 
     def density(vals, pts, w):
-        return ((vals * g.eps_top(pts) if curved else vals) * w)[None]
+        return ((vals if g is None else vals * g.eps_top(pts)) * w)[None]
 
     return float(_reduce_patch(f, patch, _measure_factor(patch), density)[0])
 
@@ -417,7 +417,6 @@ def flux_charge_normal_form(J: VectorField, patch: HyperplanePatch, g: MetricFie
     """
 
     def f(points):
-        points = np.asarray(points, float)
         gv = g(points)
         return np.einsum("...ab,...a,b->...", gv, J(points), patch.normal)
 

@@ -106,7 +106,6 @@ def _gaussian_dust(rho0=1.0, sigma=1.0):
         raise ValueError("gaussian_dust needs positive rho0 and sigma")
 
     def func(points):
-        points = np.asarray(points, float)
         r2 = _spatial_r2(points[..., 1:])
         out = np.zeros(points.shape[:-1] + (4, 4))
         out[..., 0, 0] = rho0 * np.exp(-r2 / sigma**2)
@@ -135,7 +134,6 @@ def _shell(completed: bool):
             # component-major: each T^{ab} is one contiguous row of out, written
             # in place and returned as an (..., 4, 4) view; the coordinate
             # columns are only read
-            points = np.asarray(points, float)
             r = np.sqrt(_spatial_r2(points[..., 1:]))
             # floor keeps 1/r^4 finite at the origin, where the weight is zero anyway
             r_safe = np.maximum(r, 1e-60 * R)
@@ -205,7 +203,6 @@ def _uniform_field_box(E0=1.0, tilt=math.pi / 4.0, box=(1.0, 1.0, 1.0)):
     half = box / 2.0
 
     def func(points):
-        points = np.asarray(points, float)
         inside = np.all(np.abs(points[..., 1:]) <= half, axis=-1)
         return inside[..., None, None] * block
 
@@ -226,7 +223,6 @@ def _moving_dust(rho0=1.0, sigma=1.0, v=0.4):
     u4 = gamma * np.array([1.0, v, 0.0, 0.0])
 
     def func(points):
-        points = np.asarray(points, float)
         center = v * points[..., 0]
         dx = points[..., 1] - center
         r2 = dx**2 + points[..., 2] ** 2 + points[..., 3] ** 2

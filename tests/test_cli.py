@@ -784,6 +784,43 @@ def test_emit_json_round_trip():
     assert rows[0]["h"] == 1e-3
 
 
+def test_json_output_has_no_nan_token(capsys):
+    # at this step the fine residual is exactly 0, so the refinement ratio is
+    # NaN, which RFC 8259 has no token for: the row carries it as null
+    code, out, _ = run(capsys, "verify", "identities", "--strict", "--fd-h", "1000",
+                       "--format", "json")
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    rows = json.loads(out, parse_constant=reject)
+    assert code == EXIT_VERDICT
+    assert rows[-1]["quantity"] == "contracted_current_refinement"
+    assert rows[-1]["value"] is None and rows[-1]["refinement_ratio"] is None
+
+
+@pytest.mark.parametrize("suite", ["identities", "poincare"])
+def test_cli_evaluates_the_connection(monkeypatch, capsys, suite):
+    # the connection is finite-differenced for every metric, flat included, so
+    # these suites on eta enter the closure christoffels returns
+    calls = []
+    christoffels = fields.christoffels
+
+    def counted(g, h=fields.DEFAULT_H):
+        gamma = christoffels(g, h)
+
+        def func(points):
+            calls.append(len(points))
+            return gamma(points)
+
+        return func
+
+    monkeypatch.setattr(fields, "christoffels", counted)
+    code, _, _ = run(capsys, "verify", suite)
+    assert code == EXIT_OK
+    assert len(calls) >= 1
+
+
 def test_emit_markdown_table():
     rec = IntegralRecord("p", 1.25, "g")
     text = emit([rec], "md")

@@ -412,12 +412,24 @@ def test_spatial_r2_is_bitwise_the_axis_sum(shape):
 
 
 def touched_closures():
-    from laue_lab.cli import CONSERVED_BLOB, CONSERVED_CURRENT, LAM, PHI, SOURCED_CURRENT
+    from laue_lab.cli import (
+        CONSERVED_BLOB,
+        CONSERVED_CURRENT,
+        CURVED_METRIC,
+        GENERIC_CURRENT,
+        LAM,
+        PHI,
+        SOURCED_CURRENT,
+        STATIC_CHARGE,
+    )
 
     fields = {sid: build(name, **params)[0] for sid, (name, params, _) in zip(SHELL_IDS, SHELLS)}
-    fields.update(gaussian_dust=build("gaussian_dust")[0], lam=LAM, phi=PHI,
-                  conserved_blob=CONSERVED_BLOB, conserved_current=CONSERVED_CURRENT,
-                  sourced_current=SOURCED_CURRENT)
+    fields.update({name: build(name)[0]
+                   for name in ("gaussian_dust", "uniform_field_box", "moving_dust")})
+    fields.update(lam=LAM, phi=PHI, conserved_blob=CONSERVED_BLOB,
+                  conserved_current=CONSERVED_CURRENT, sourced_current=SOURCED_CURRENT,
+                  static_charge=STATIC_CHARGE, generic_current=GENERIC_CURRENT,
+                  curved_metric=CURVED_METRIC)
     return fields
 
 
@@ -429,5 +441,11 @@ def test_closure_leaves_its_points_unchanged(name, m):
     # operation on a column would rewrite the caller's points
     pts = shell_points((m, 4))
     before = pts.copy()
-    touched_closures()[name](pts)
+    field = touched_closures()[name]
+    field(pts)
     assert np.array_equal(pts, before)
+    # the field's __call__ is the one conversion the closure relies on: integer
+    # points, one as a list or many as an array, sample as their float copies
+    ints = np.rint(pts).astype(int)
+    given = ints[0].tolist() if m == 1 else ints
+    assert np.array_equal(field(given), field(np.asarray(given, float)))
