@@ -3,7 +3,7 @@ group, and global energy-momentum flux integrals on affine charts."""
 
 __version__ = "0.1.0"
 
-from .exterior import PForm, Signature, alt, hodge, inner_norm, insert, musical, volume_form, wedge
+from .exterior import PForm, Signature, hodge, inner_norm, insert, musical, volume_form, wedge
 from .poincare import (
     PoincareElement,
     PoinLieElement,

@@ -29,7 +29,6 @@ from .fields import (
     boost_emt_analytic,
     dual_form,
     exterior_derivative,
-    lie_derivative,
     stationarity_residual,
 )
 from .poincare import PoincareElement, coad, is_isometry, standard_boost
@@ -215,11 +214,15 @@ def gauss_residual(
     partial-integration identity on a box time slice.
 
     Interior: integral of T^{mu n} d_n phi; boundary: integral of
-    T^{mu n} phi nu_n over the six box faces.
+    T^{mu n} phi nu_n over the six box faces.  The faces lie on the rule's
+    tangent axes and the integrands read the chart's spatial slots, so the
+    patch's normal and tangent frame must be the chart's coordinate frame.
     """
     if patch.rule.extent is None:
         raise ValueError("the boundary quadrature needs the default box rule")
     n_t = patch.sig.n - 1
+    if not np.array_equal(np.vstack([patch.normal, patch.tangent_frame]), np.eye(n_t + 1)):
+        raise ValueError("the boundary quadrature needs a time slice in the chart's own frame")
 
     def integral(rule_patch, factor, integrand):  # rows mu; non-finite samples raise
         return _reduce_patch(integrand, rule_patch, factor, lambda v, pts, w: v.T * w)
@@ -251,13 +254,11 @@ def _face_rule(extent, axis: int, sign: float) -> ProductRule:
 
 @dataclass
 class GeometricLaueResult:
-    """Three routes to the same vanishing integral, plus preconditions."""
+    """Three routes to the same vanishing integral."""
 
     rA: float
     rB: float
     rC: float
-    divergence_residual: float
-    symmetry_residual: float
 
 
 def geometric_laue_residuals(
@@ -276,21 +277,16 @@ def geometric_laue_residuals(
     against the induced measure of the non-null unit normal.  All three
     vanish in the continuum for divergence-free J with U-symmetry and
     suitable support, and agree with each other to quadrature accuracy.
+    Those two hypotheses are the caller's: nothing here measures div J or
+    the Lie derivative of the dual current along U.
     """
     n = g.n
-    # deterministic interior probe (strided subsets of the raveled grid can
-    # alias onto a single far-field plane)
+    # the metric must see the normal as unit on the patch: a deterministic
+    # interior probe (strided subsets of the raveled grid can alias onto a
+    # single far-field plane)
     rule = patch.rule
     idx = np.linspace(0, rule.size - 1, 64).astype(int)
-    pts_probe = patch.points(np.concatenate([rule.tile(i, i + 1)[0] for i in idx]))
-
-    calJ = dual_form(J, g)
-
-    # preconditions, reported rather than assumed
-    div_res = float(np.max(np.abs(vector_divergence(J, g, h)(pts_probe))))
-    sym_res = float(np.max(np.abs(lie_derivative(calJ, U, h)(pts_probe))))
-
-    gv_probe = g(pts_probe)
+    gv_probe = g(patch.points(np.concatenate([rule.tile(i, i + 1)[0] for i in idx])))
     nn = np.einsum("...ab,a,b->...", gv_probe, patch.normal, patch.normal)
     if np.min(np.abs(nn)) < 1e-9:
         raise ValueError("patch normal is lightlike for the supplied metric")
@@ -301,6 +297,8 @@ def geometric_laue_residuals(
         # one sample of grad phi, U and J per point, shared by the two pairings
         dphi, u, j = phi.gradient(points, h), U(points), J(points)
         return np.einsum("...a,...a->...", dphi, u), np.einsum("...a,...a->...", dphi, j), u, j
+
+    calJ = dual_form(J, g)
 
     def integrand_A(points):
         ju = insert_comps(U(points), calJ(points), n, n - 1)
@@ -325,7 +323,7 @@ def geometric_laue_residuals(
         return u_phi * jn - j_phi * un
 
     rC = abs(integrate_scalar_density(integrand_C, patch, g))
-    return GeometricLaueResult(rA, rB, rC, div_res, sym_res)
+    return GeometricLaueResult(rA, rB, rC)
 
 
 def exact_current_factory(lam: FormField, g: MetricField, h: float = DEFAULT_H):

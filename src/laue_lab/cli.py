@@ -22,7 +22,15 @@ import numpy as np
 
 from . import __version__
 from .exterior import Signature
-from .fields import FormField, MetricField, ScalarField, SymTensorField, VectorField, _spatial_r2
+from .fields import (
+    DEFAULT_H,
+    FormField,
+    MetricField,
+    ScalarField,
+    SymTensorField,
+    VectorField,
+    _spatial_r2,
+)
 from .poincare import (
     PoinLieElement,
     compose,
@@ -130,7 +138,7 @@ OPTIONS = {
     "out": (dict(help="output path (default stdout)"), str, None),
     "tol": (dict(type=float, help="tolerance override"), float, 1e-3),
     "grid_n": (dict(type=int, help="grid scale anchor N"), int, 48),
-    "fd_h": (dict(type=float, help="fd step"), float, 1e-3),
+    "fd_h": (dict(type=float, help="fd step"), float, DEFAULT_H),
     "strict": (
         dict(action="store_true",
              help="also re-run the check at doubled resolution and require the refined "
@@ -506,7 +514,7 @@ def run_poincare_suite(seed: int):
     ]
 
 
-def run_identities_suite(seed: int, h: float = 1e-3, strict: bool = False):
+def run_identities_suite(seed: int, h: float = DEFAULT_H, strict: bool = False):
     from .fields import identity_residuals
 
     pts = rng_from_seed(seed).uniform(-1.5, 1.5, (40, 4))
@@ -525,7 +533,7 @@ def run_identities_suite(seed: int, h: float = 1e-3, strict: bool = False):
     return records
 
 
-def run_geometric_suite(seed: int, h: float = 1e-3):
+def run_geometric_suite(seed: int, h: float = DEFAULT_H):
     from .checkers import exact_current_factory, geometric_laue_residuals, vector_divergence
 
     patch = HyperplanePatch.time_slice(SIG, half_widths=6.0, grid=(48,))
@@ -553,7 +561,7 @@ def run_geometric_suite(seed: int, h: float = 1e-3):
     return records
 
 
-def run_conservation_suite(h: float = 1e-3):
+def run_conservation_suite(h: float = DEFAULT_H):
     from .checkers import conservation_check, divergence_volume_integral, gauss_residual
     from .quadrature import flux_charge, flux_charge_normal_form, transform_patch
 

@@ -3,7 +3,6 @@
 Forms are stored densely over lexicographically ordered strictly increasing
 multi-indices.  The conventions in force throughout the package:
 
-* ``alt`` carries the 1/p! prefactor, so it is a projection.
 * ``wedge`` carries the (p+q)!/(p!q!) combinatorial factor, hence on
   coefficients it is the signed shuffle sum and
   ``theta(a1)^...^theta(ap)`` has coefficient +1 at (a1 < ... < ap).
@@ -36,7 +35,6 @@ __all__ = [
     "multi_indices",
     "multi_index_rank",
     "perm_sign",
-    "alt",
     "wedge",
     "inner_norm",
     "musical",
@@ -154,23 +152,6 @@ class PForm:
         comps[ranks[idx]] = 1.0
         return cls(n, len(idx), comps)
 
-    @classmethod
-    def from_dense(cls, t: np.ndarray) -> "PForm":
-        """Read off increasing-index components of a totally antisymmetric tensor."""
-        t = np.asarray(t, dtype=float)
-        p = t.ndim
-        n = t.shape[0] if p else 0
-        comps = np.array([t[idx] for idx in multi_indices(n, p)])
-        return cls(n, p, comps)
-
-    def to_dense(self) -> np.ndarray:
-        """Expand to the full antisymmetric array of shape (n,) * p."""
-        t = np.zeros((self.n,) * self.p)
-        for k, idx in enumerate(multi_indices(self.n, self.p)):
-            for perm in itertools.permutations(idx):
-                t[perm] = perm_sign(perm) * self.comps[k]
-        return t
-
     def __mul__(self, c: float) -> "PForm":
         return PForm(self.n, self.p, self.comps * float(c))
 
@@ -181,26 +162,6 @@ class PForm:
             raise ValueError(
                 f"form mismatch: ({self.n},{self.p}) vs ({other.n},{other.p})"
             )
-
-
-def alt(t: np.ndarray) -> np.ndarray:
-    """Antisymmetrisation (1/p!) sum_sigma sign(sigma) * permuted tensor.
-
-    Idempotent; a tensor of rank p > n antisymmetrises to zero.
-    """
-    t = np.asarray(t, dtype=float)
-    p = t.ndim
-    if p <= 1:
-        return t.copy()
-    n = t.shape[0]
-    if any(s != n for s in t.shape):
-        raise ValueError(f"expected cubical shape (n,)*p, got {t.shape}")
-    if p > n:
-        return np.zeros_like(t)
-    out = np.zeros_like(t)
-    for perm in itertools.permutations(range(p)):
-        out += perm_sign(perm) * np.transpose(t, perm)
-    return out / math.factorial(p)
 
 
 @lru_cache(maxsize=None)

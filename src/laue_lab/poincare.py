@@ -23,7 +23,6 @@ from .exterior import Signature, multi_indices
 __all__ = [
     "PoincareElement",
     "PoinLieElement",
-    "identity",
     "compose",
     "invert",
     "is_isometry",
@@ -116,10 +115,6 @@ class PoinLieElement:
     def components(self) -> np.ndarray:
         """Concatenated (P, M) coefficient vector."""
         return np.concatenate([self.P, self.M])
-
-
-def identity(n: int) -> PoincareElement:
-    return PoincareElement(np.zeros(n), np.eye(n))
 
 
 def compose(g: PoincareElement, h: PoincareElement) -> PoincareElement:

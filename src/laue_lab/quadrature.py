@@ -2,8 +2,8 @@
 
 A patch is an oriented bounded (n-1)-dimensional affine plane carrying its
 own quadrature rule: a patch carries one :class:`ProductRule` (the midpoint
-rule on a box, a radially adapted rule on scenario fields with 1/r^4 tails,
-or caller-supplied node/weight arrays).  Node placement lives in tangent
+rule on a box, or a radially adapted rule on scenario fields with 1/r^4
+tails).  Node placement lives in tangent
 coordinates, so transforming a patch maps nodes exactly onto nodes and
 change-of-variables identities hold to roundoff.
 
@@ -116,11 +116,11 @@ class ProductRule:
     """A quadrature rule in tangent coordinates, handed out a tile at a time.
 
     Node k pairs row k // inner of an outer factor with row k % inner of an
-    inner one: radii with the direction table of a spherical rule, axis-0
-    midpoints with the mesh of the other axes of a box, or the rows of
-    explicit arrays (inner = 1).  ``rows(i0, i1)`` builds the nodes and
-    weights of outer rows [i0, i1) with the expressions of the whole rule, so
-    a tile is bitwise those nodes of the whole rule, component-major.
+    inner one: radii with the direction table of a spherical rule, or axis-0
+    midpoints with the mesh of the other axes of a box.  ``rows(i0, i1)``
+    builds the nodes and weights of outer rows [i0, i1) with the expressions
+    of the whole rule, so a tile is bitwise those nodes of the whole rule,
+    component-major.
     ``affine`` = (S^-1, shift, |det S^-1|), if set, maps each tile as
     :func:`map_rule_affine`.  ``extent`` = (half widths, cells per axis) is
     set by :meth:`box` alone and cleared by :meth:`mapped`: it is the box
@@ -133,19 +133,6 @@ class ProductRule:
     rows: Callable
     affine: Optional[tuple] = None
     extent: Optional[tuple] = None
-
-    @classmethod
-    def explicit(cls, nodes, weights) -> "ProductRule":
-        """Given node (m, dim) and weight (m,) arrays, tiled by slicing."""
-        nodes = np.asfortranarray(nodes, float)
-        weights = np.asarray(weights, float)
-        if nodes.ndim != 2 or weights.shape != (nodes.shape[0],):
-            raise ValueError("bad custom rule shapes")
-        if not np.isfinite(weights).all():
-            raise ValueError("custom rule weights must be finite")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        return cls(len(weights), nodes.shape[1], 1, lambda i0, i1: (nodes[i0:i1], weights[i0:i1]))
 
     @classmethod
     def box(cls, half_widths, grid) -> "ProductRule":
@@ -291,7 +278,7 @@ class HyperplanePatch:
             val.flags.writeable = False
             object.__setattr__(self, name, val)
         if self.rule.dim != n - 1:
-            raise ValueError("bad custom rule shapes")
+            raise ValueError("the rule's dimension must be n - 1")
 
     @classmethod
     def time_slice(
@@ -315,9 +302,6 @@ class HyperplanePatch:
         if len(grid) == 1:
             grid = grid * (n - 1)
         return cls(origin, frame, normal, sig, ProductRule.box(hw, grid))
-
-    def with_rule(self, nodes: np.ndarray, weights: np.ndarray) -> "HyperplanePatch":
-        return replace(self, rule=ProductRule.explicit(nodes, weights))
 
     @property
     def rule_nodes(self) -> np.ndarray:
@@ -394,12 +378,11 @@ def integrate_form(omega, patch: HyperplanePatch) -> float:
     return float(_reduce_patch(omega, patch, 1.0, pulled_back)[0])
 
 
-def integrate_scalar_density(f, patch: HyperplanePatch, g: Optional[MetricField] = None) -> float:
-    """Integral of a scalar against the induced measure d(mu); ``g = None`` is
-    the flat chart."""
+def integrate_scalar_density(f, patch: HyperplanePatch, g: MetricField) -> float:
+    """Integral of a scalar against the induced measure d(mu) of the metric g."""
 
     def density(vals, pts, w):
-        return ((vals if g is None else vals * g.eps_top(pts)) * w)[None]
+        return (vals * g.eps_top(pts) * w)[None]
 
     return float(_reduce_patch(f, patch, _measure_factor(patch), density)[0])
 

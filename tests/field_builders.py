@@ -1,6 +1,8 @@
 """Field builders shared by the test modules (imported by name, so they
 live outside ``conftest.py``, whose module name other test trees share)."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from laue_lab.exterior import Signature
@@ -65,3 +67,14 @@ def box_spec(half_width, n):
     domain the checkers take."""
     rule = lambda scale, outer: ProductRule.box((half_width,) * 3, (n,) * 3)
     return ScenarioSpec("box", "cartesian", True, True, rule)
+
+
+def with_rule(patch, nodes, weights):
+    """``patch`` carrying the rule of the given node (m, dim) and weight (m,)
+    arrays, tiled by slicing.  The nodes are stored column by column, so each
+    tile of them is component-major, as the streamed rules emit theirs."""
+    nodes = np.asfortranarray(nodes, float)
+    weights = np.asarray(weights, float)
+    rule = ProductRule(len(weights), nodes.shape[1], 1,
+                       lambda i0, i1: (nodes[i0:i1], weights[i0:i1]))
+    return replace(patch, rule=rule)

@@ -30,18 +30,20 @@ from laue_lab.fields import (
     ScalarField,
     SymTensorField,
     VectorField,
+    dual_form,
+    lie_derivative,
 )
 from laue_lab.poincare import (
+    PoincareElement,
     compose,
-    identity,
     rotation,
     standard_boost,
     translation,
 )
-from laue_lab.quadrature import HyperplanePatch, laue_integrals
+from laue_lab.quadrature import HyperplanePatch, laue_integrals, transform_patch
 from laue_lab.scenarios import build
 
-from field_builders import box_spec, constant_field, make_spatial_bump
+from field_builders import box_spec, constant_field, make_spatial_bump, with_rule
 
 SIG = Signature.mostly_minus(4)
 ETA = MetricField.minkowski(4)
@@ -130,7 +132,7 @@ def test_classical_report_on_a_box_spec(conserved_blob):
 
 def test_fake_covariance_identity_is_zero():
     T, spec = build("coulomb_shell")
-    assert fake_covariance_check(T, spec, identity(4)) == 0.0
+    assert fake_covariance_check(T, spec, translation(np.zeros(4))) == 0.0
 
 
 def test_fake_covariance_on_vector_law_violator():
@@ -200,12 +202,26 @@ def spatial_current_from_blob(blob):
     return VectorField(func)
 
 
+def probe_points(patch):
+    """64 rule nodes spread evenly through the patch's node order, as points."""
+    rule = patch.rule
+    idx = np.linspace(0, rule.size - 1, 64).astype(int)
+    return patch.points(np.concatenate([rule.tile(i, i + 1)[0] for i in idx]))
+
+
+def symmetry_residual(J, U, g, patch, h):
+    """max |L_U (dual of J)| on the probe points: U-symmetry of the current."""
+    return float(np.max(np.abs(lie_derivative(dual_form(J, g), U, h)(probe_points(patch)))))
+
+
 def test_geometric_flat_recovery(conserved_blob):
     J = spatial_current_from_blob(conserved_blob)
     U = constant_field(basis_vec(0))
-    out = geometric_laue_residuals(J, U, PHI, blob_patch(64), ETA, h=1e-3)
-    assert out.divergence_residual < 1e-5
-    assert out.symmetry_residual < 1e-9
+    patch = blob_patch(64)
+    # the theorem's hypotheses hold: J is conserved and U-symmetric
+    assert np.max(np.abs(vector_divergence(J, ETA, 1e-3)(probe_points(patch)))) < 1e-5
+    assert symmetry_residual(J, U, ETA, patch, 1e-3) < 1e-9
+    out = geometric_laue_residuals(J, U, PHI, patch, ETA, h=1e-3)
     assert out.rA < 1e-5 and out.rB < 1e-5 and out.rC < 1e-5
     assert abs(out.rB - out.rC) < 1e-12
 
@@ -227,10 +243,11 @@ def test_geometric_curved_exact_current():
     J, calJ = exact_current_factory(LAM, g, h=1e-3)
     U = constant_field(basis_vec(0))
     phi = make_spatial_bump(width=2.0)
-    out = geometric_laue_residuals(J, U, phi, blob_patch(48), g, h=1e-3)
+    patch = blob_patch(48)
+    assert symmetry_residual(J, U, g, patch, 1e-3) < 1e-10
+    out = geometric_laue_residuals(J, U, phi, patch, g, h=1e-3)
     assert out.rA < 1e-6
     assert abs(out.rB - out.rC) < 1e-6
-    assert out.symmetry_residual < 1e-10
 
 
 def test_geometric_constant_test_function(conserved_blob):
@@ -321,7 +338,7 @@ def test_full_equivariance_on_nonconserved_shell():
 
 def test_full_equivariance_identity():
     T, spec = build("gaussian_dust")
-    entries = equivariance_report(T, spec, np.zeros(4), [("e", identity(4))])
+    entries = equivariance_report(T, spec, np.zeros(4), [("e", translation(np.zeros(4)))])
     assert entries[0].full_residual < 1e-14
 
 
@@ -413,7 +430,7 @@ def test_box_only_checks_reject_other_rules(check, rule, conserved_blob):
     # boundary sum or a support verdict on it would read a boundary it lacks
     box = HyperplanePatch.time_slice(SIG, t=0.0, half_widths=1.0, grid=(16,))
     other = {
-        "with_rule": lambda: box.with_rule(*box.nodes_weights()),
+        "with_rule": lambda: with_rule(box, *box.nodes_weights()),
         "mapped": lambda: build("gaussian_dust")[1].adapted_slice_patch(
             standard_boost(1, 0.3), SIG, scale=0.25),
     }[rule]()
@@ -427,6 +444,27 @@ def test_box_only_checks_reject_other_rules(check, rule, conserved_blob):
     for call in calls:
         with pytest.raises(ValueError, match="default box rule"):
             call()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [rotation(1, 2, 0.7), standard_boost(1, 0.5),
+     PoincareElement(np.zeros(4), np.diag([-1.0, 1.0, 1.0, 1.0]))],
+    ids=["rotation", "boost", "time_reversal"],
+)
+def test_gauss_residual_rejects_a_tilted_box(g):
+    # the faces sit on the rule's tangent axes but the integrands read the
+    # chart's spatial slots, so on a moved box the two sides measure different
+    # things: for a constant T and a linear phi, where the identity holds
+    # exactly, an unchecked residual came out 28, 5.0 and 1.0e2 on these
+    # patches against 1.5e-12 on the box
+    T = SymTensorField(lambda p: np.broadcast_to(np.add.outer(np.arange(4.0), np.arange(4.0)),
+                                                 p.shape[:-1] + (4, 4)))
+    phi = ScalarField(lambda p: p[..., 1] + p[..., 2] / 2)
+    box = HyperplanePatch.time_slice(SIG, half_widths=1.0, grid=(8,))
+    assert gauss_residual(T, phi, box) < 1e-10
+    with pytest.raises(ValueError, match="time slice in the chart's own frame"):
+        gauss_residual(T, phi, transform_patch(g, box))
 
 
 def test_conservation_void_when_support_leaks():

@@ -370,9 +370,7 @@ def test_killing_residual_rotation_on_curved_metric(sample_points4):
 
 
 def test_active_transform_identity(static_dust):
-    from laue_lab.poincare import identity
-
-    T2 = active_transform(identity(4), static_dust)
+    T2 = active_transform(translation(np.zeros(4)), static_dust)
     pts = RNG.standard_normal((10, 4))
     assert np.allclose(T2(pts), static_dust(pts))
 
