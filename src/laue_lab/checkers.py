@@ -27,7 +27,6 @@ from .fields import (
     _volume_insert,
     active_transform,
     boost_emt_analytic,
-    dual_form,
     exterior_derivative,
     stationarity_residual,
 )
@@ -37,11 +36,11 @@ from .quadrature import (
     HyperplanePatch,
     ProductRule,
     _measure_factor,
+    _pull_back,
     _reduce_patch,
     _simpson,
     flux_charge,
     four_momentum,
-    integrate_form,
     integrate_scalar_density,
     momentum_map,
     patch_moments,
@@ -279,6 +278,10 @@ def geometric_laue_residuals(
     suitable support, and agree with each other to quadrature accuracy.
     Those two hypotheses are the caller's: nothing here measures div J or
     the Lie derivative of the dual current along U.
+
+    One pass over the patch samples grad phi, U, J and sqrt|det g| once per
+    tile for all three routes.  The routes share those samples but no
+    formula: each forms its own integrand, in its own column, summed alone.
     """
     n = g.n
     # the metric must see the normal as unit on the patch: a deterministic
@@ -293,37 +296,36 @@ def geometric_laue_residuals(
     if np.max(np.abs(np.abs(nn) - 1.0)) > 1e-9:
         raise ValueError("patch normal is not unit for the supplied metric")
 
-    def pairings(points):
-        # one sample of grad phi, U and J per point, shared by the two pairings
-        dphi, u, j = phi.gradient(points, h), U(points), J(points)
-        return np.einsum("...a,...a->...", dphi, u), np.einsum("...a,...a->...", dphi, j), u, j
+    pull_back, mf = _pull_back(patch), _measure_factor(patch)
 
-    calJ = dual_form(J, g)
-
-    def integrand_A(points):
-        ju = insert_comps(U(points), calJ(points), n, n - 1)
-        return wedge_comps(phi.gradient(points, h), 1, ju, n - 2, n)
-
-    rA = abs(integrate_form(FormField(n, n - 1, integrand_A), patch))
-
-    def integrand_B(points):
-        # i_J mu and i_U mu from the same samples of J and U as the pairings
-        u_phi, j_phi, u, j = pairings(points)
-        eps = g.eps_top(points)
-        return (u_phi[..., None] * _volume_insert(j, eps)
-                - j_phi[..., None] * _volume_insert(u, eps))
-
-    rB = abs(integrate_form(FormField(n, n - 1, integrand_B), patch))
-
-    def integrand_C(points):
-        u_phi, j_phi, u, j = pairings(points)
+    def integrands(points):
+        # each route drops its temporaries before the next one starts
+        dphi, u, j, eps = phi.gradient(points, h), U(points), J(points), g.eps_top(points)
+        block = np.empty((3, len(points)))
+        # rA: d(phi) ^ (U inserted into i_J mu), pulled back
+        ju = insert_comps(u, _volume_insert(j, eps), n, n - 1)
+        block[0] = pull_back(wedge_comps(dphi, 1, ju, n - 2, n))
+        del ju
+        # rB: U(phi) i_J mu - J(phi) i_U mu, pulled back
+        u_phi, j_phi = np.einsum("...a,...a->...", dphi, u), np.einsum("...a,...a->...", dphi, j)
+        block[1] = pull_back(u_phi[..., None] * _volume_insert(j, eps)
+                             - j_phi[..., None] * _volume_insert(u, eps))
+        # rC: U(phi) g(J, n) - J(phi) g(U, n), times the volume factor
         gv = g(points)
         jn = np.einsum("...ab,...a,b->...", gv, j, patch.normal)
         un = np.einsum("...ab,...a,b->...", gv, u, patch.normal)
-        return u_phi * jn - j_phi * un
+        block[2] = (u_phi * jn - j_phi * un) * eps
+        return block.T
 
-    rC = abs(integrate_scalar_density(integrand_C, patch, g))
-    return GeometricLaueResult(rA, rB, rC)
+    def weighted_rows(vals, pts, w):
+        # rA and rB are form integrals, rC is against the induced measure
+        rows = vals.T
+        rows[:2] *= w
+        rows[2] *= w * mf
+        return rows
+
+    sums = _reduce_patch(integrands, patch, 1.0, weighted_rows)
+    return GeometricLaueResult(*(abs(float(s)) for s in sums))
 
 
 def exact_current_factory(lam: FormField, g: MetricField, h: float = DEFAULT_H):

@@ -361,19 +361,25 @@ def _reduce_patch(func: Callable, patch: HyperplanePatch, factor: float, weighte
     return _pair_tree(np.stack(sums, axis=-1))
 
 
+def _pull_back(patch: HyperplanePatch) -> Callable:
+    """The pullback onto the patch's tangent frame, sum_I omega_I det(frame[I]),
+    as a function of the (m, C(n, n-1)) components of an (n-1)-form."""
+    n = patch.sig.n
+    dets = np.array(
+        [np.linalg.det(patch.tangent_frame.T[list(I), :]) for I in multi_indices(n, n - 1)]
+    )
+    return lambda vals: np.sum(vals * dets, axis=1)
+
+
 def integrate_form(omega, patch: HyperplanePatch) -> float:
     """Integral of an (n-1)-form over the patch on its rule.
 
     Deterministic pairwise summation; aborts on non-finite samples.
     """
-    n = patch.sig.n
-    # pull back onto the tangent frame: sum_I omega_I det(frame[I])
-    dets = np.array(
-        [np.linalg.det(patch.tangent_frame.T[list(I), :]) for I in multi_indices(n, n - 1)]
-    )
+    pull_back = _pull_back(patch)
 
     def pulled_back(vals, pts, w):
-        return (np.sum(vals * dets, axis=1) * w)[None]
+        return (pull_back(vals) * w)[None]
 
     return float(_reduce_patch(omega, patch, 1.0, pulled_back)[0])
 

@@ -29,6 +29,8 @@ from laue_lab.scenarios import SCENARIO_NAMES  # noqa: E402
 COMMANDS = (
     [["verify", suite] for suite in ("algebra", "poincare", "identities", "geometric", "conservation")]
     + [["verify", "identities", "--strict"]]
+    # the geometric pass at a second seed and a second fd step
+    + [["verify", "geometric", "--seed", "11"], ["verify", "geometric", "--fd-h", "2e-3"]]
     # at --fd-h 1000 the fine residual is exactly 0, so the refinement ratio is NaN
     + [["verify", "identities", "--strict", "--fd-h", "1000"],
        ["verify", "identities", "--fd-h", "0.3"]]

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from laue_lab import checkers, quadrature
 from laue_lab.checkers import (
     classical_laue_report,
     conservation_check,
@@ -20,16 +22,19 @@ from laue_lab.cli import (
     LAM,
     PHI,
     SOURCED_CURRENT,
+    TIME_TRANSLATION,
     _classical_verdict,
     seeded_elements,
 )
-from laue_lab.exterior import Signature
+from laue_lab.exterior import Signature, insert_comps, wedge_comps
 from laue_lab.fields import (
     FormField,
     MetricField,
     ScalarField,
     SymTensorField,
     VectorField,
+    _spatial_r2,
+    _volume_insert,
     dual_form,
     lie_derivative,
 )
@@ -40,7 +45,14 @@ from laue_lab.poincare import (
     standard_boost,
     translation,
 )
-from laue_lab.quadrature import HyperplanePatch, laue_integrals, transform_patch
+from laue_lab.quadrature import (
+    TILE,
+    HyperplanePatch,
+    integrate_form,
+    integrate_scalar_density,
+    laue_integrals,
+    transform_patch,
+)
 from laue_lab.scenarios import build
 
 from field_builders import box_spec, constant_field, make_spatial_bump, with_rule
@@ -268,6 +280,161 @@ def test_geometric_rejects_non_unit_normal_metric():
     J = constant_field(basis_vec(0))
     with pytest.raises(ValueError, match="unit"):
         geometric_laue_residuals(J, J, make_spatial_bump(), blob_patch(8), g_bad)
+
+
+# --- the one-pass geometric routes against their three-pass oracle ---
+
+
+def three_pass_residuals(J, U, phi, patch, g, h):
+    """rA, rB and rC as three passes over the patch, each route sampling its
+    own fields through integrate_form or integrate_scalar_density: the
+    reference that geometric_laue_residuals' one pass must equal bitwise."""
+    n = g.n
+
+    def pairings(points):
+        dphi, u, j = phi.gradient(points, h), U(points), J(points)
+        return np.einsum("...a,...a->...", dphi, u), np.einsum("...a,...a->...", dphi, j), u, j
+
+    calJ = dual_form(J, g)
+
+    def integrand_A(points):
+        ju = insert_comps(U(points), calJ(points), n, n - 1)
+        return wedge_comps(phi.gradient(points, h), 1, ju, n - 2, n)
+
+    def integrand_B(points):
+        u_phi, j_phi, u, j = pairings(points)
+        eps = g.eps_top(points)
+        return (u_phi[..., None] * _volume_insert(j, eps)
+                - j_phi[..., None] * _volume_insert(u, eps))
+
+    def integrand_C(points):
+        u_phi, j_phi, u, j = pairings(points)
+        gv = g(points)
+        jn = np.einsum("...ab,...a,b->...", gv, j, patch.normal)
+        un = np.einsum("...ab,...a,b->...", gv, u, patch.normal)
+        return u_phi * jn - j_phi * un
+
+    return (abs(integrate_form(FormField(n, n - 1, integrand_A), patch)),
+            abs(integrate_form(FormField(n, n - 1, integrand_B), patch)),
+            abs(integrate_scalar_density(integrand_C, patch, g)))
+
+
+def _control_current(points):
+    x = points[..., 1:]
+    b = np.exp(-_spatial_r2(x) / 2.0)
+    out = np.zeros(points.shape[:-1] + (4,))
+    out[..., 0] = b
+    out[..., 1] = b * (1.0 + x[..., 0] / 2.0)
+    out[..., 2] = 0.3 * b
+    return out
+
+
+# stationary but not conserved, so the three routes agree on a non-zero value
+CONTROL_J = VectorField(_control_current)  # b (1, 1 + x1/2, 0.3, 0), b = exp(-r^2/2)
+CONTROL_PHI = ScalarField(
+    lambda points: np.exp(-_spatial_r2(points[..., 1:]) / 4.0) * (1.0 + 0.3 * points[..., 1])
+)
+
+
+def exact_fields(g):
+    return exact_current_factory(LAM, g, h=1e-3)[0], PHI
+
+
+def control_fields(g):
+    return CONTROL_J, CONTROL_PHI
+
+
+BOOSTED_32 = transform_patch(standard_boost(1, 0.3), blob_patch(32))
+
+
+@pytest.mark.parametrize(
+    "fields, g, patch",
+    [
+        (exact_fields, ETA, blob_patch(48)),
+        (exact_fields, CURVED_METRIC, blob_patch(48)),
+        (control_fields, ETA, blob_patch(48)),
+        (control_fields, CURVED_METRIC, blob_patch(48)),
+        (exact_fields, ETA, BOOSTED_32),
+        (control_fields, ETA, BOOSTED_32),
+    ],
+    ids=["exact-flat", "exact-curved", "control-flat", "control-curved",
+         "exact-boosted", "control-boosted"],
+)
+def test_geometric_one_pass_is_bitwise_the_three_passes(fields, g, patch):
+    J, phi = fields(g)
+    out = geometric_laue_residuals(J, TIME_TRANSLATION, phi, patch, g, h=1e-3)
+    assert (out.rA, out.rB, out.rC) == three_pass_residuals(J, TIME_TRANSLATION, phi, patch, g, 1e-3)
+
+
+@pytest.mark.parametrize("g, value", [(ETA, 0.28576667842905135),
+                                      (CURVED_METRIC, 0.09465663360976939)])
+def test_geometric_control_routes_agree_on_a_non_zero_value(g, value):
+    out = geometric_laue_residuals(CONTROL_J, TIME_TRANSLATION, CONTROL_PHI, blob_patch(48), g,
+                                   h=1e-3)
+    for r in (out.rA, out.rB, out.rC):
+        assert r == pytest.approx(value, rel=1e-12)
+
+
+def counting(func, calls):
+    def wrapped(points):
+        calls.append(len(points))
+        return func(points)
+
+    return wrapped
+
+
+def test_geometric_samples_each_field_once_per_tile():
+    patch = blob_patch(48)
+    tiles = -(-patch.rule.size // TILE)
+    assert tiles == 14
+    J, _ = exact_current_factory(LAM, ETA, h=1e-3)
+    j_calls, phi_calls = [], []
+    geometric_laue_residuals(VectorField(counting(J.func, j_calls)), TIME_TRANSLATION,
+                             ScalarField(counting(PHI.func, phi_calls)), patch, ETA, h=1e-3)
+    assert len(j_calls) == tiles and sum(j_calls) == patch.rule.size
+    assert len(phi_calls) == 8 * tiles  # two sides of four central differences
+
+
+@pytest.mark.parametrize("name, route", [("wedge_comps", "rA"), ("insert_comps", "rA"),
+                                         ("_measure_factor", "rC")])
+def test_a_fault_in_one_geometric_route_moves_that_route_alone(monkeypatch, name, route):
+    # the routes share samples, not formulas: a piece only one route uses
+    # moves that route and leaves the other two bitwise where they were
+    args = (CONTROL_J, TIME_TRANSLATION, CONTROL_PHI, blob_patch(48), CURVED_METRIC)
+    before = geometric_laue_residuals(*args, h=1e-3)
+    original = getattr(checkers, name)
+    for module in (checkers, quadrature):  # wherever the piece is called from
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, lambda *a: 1.01 * original(*a))
+    after = geometric_laue_residuals(*args, h=1e-3)
+    for r in ("rA", "rB", "rC"):
+        if r == route:
+            assert getattr(after, r) == pytest.approx(1.01 * getattr(before, r), rel=1e-12)
+        else:
+            assert getattr(after, r) == getattr(before, r)
+
+
+def nan_near(func, point, radius):
+    def wrapped(points):
+        out = np.array(func(points), float)
+        out[np.max(np.abs(points - point), axis=-1) <= radius] = np.nan
+        return out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("which", ["J", "phi"])
+def test_geometric_raises_on_a_non_finite_sample(which):
+    patch = blob_patch(48)
+    k = 9 * TILE + 123  # a node of the tenth of 14 tiles
+    point = patch.points(patch.rule.tile(k, k + 1)[0])[0]
+    J, phi = CONTROL_J, CONTROL_PHI
+    if which == "J":
+        J = VectorField(nan_near(J.func, point, 1e-9))
+    else:  # the gradient at the node samples phi at its +-h neighbours only
+        phi = ScalarField(nan_near(phi.func, point, 2e-3))
+    with pytest.raises(FloatingPointError, match=re.escape(str(point))):
+        geometric_laue_residuals(J, TIME_TRANSLATION, phi, patch, ETA, h=1e-3)
 
 
 # --- exact currents ---
